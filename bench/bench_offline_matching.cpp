@@ -272,15 +272,6 @@ int RunOfflineSweep() {
   // the artifact's "sched" blocks); PRODSYN_SCHED_STATS=0 turns it off to
   // measure the accounting's own cost.
   SchedulerStats::EnableFromEnv(/*default_on=*/true);
-  // Shared by every thread run's snapshot phase: the profile cache is
-  // thread-count-independent (it is pure per-category derivation).
-  auto profile_cache =
-      TitleOfferProductMatcher().BuildProfileCache(world.catalog);
-  if (!profile_cache.ok()) {
-    std::printf("offline sweep: profile cache build failed\n");
-    return 1;
-  }
-
   std::vector<OfflineRun> runs;
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
     OfflineRun run;
@@ -312,9 +303,6 @@ int RunOfflineSweep() {
       options.parallel = score_parallel;
       options.bag_index.parallel = bag_parallel;
       options.regression.parallel = lr_parallel;
-      // Retained so the best rep's learned state feeds the snapshot
-      // phase below (the same artifacts LearnOffline persists).
-      options.retain_bag_index = true;
       ClassifierMatcher matcher(options);
       const auto start = std::chrono::steady_clock::now();
       auto scored = matcher.Generate(ctx);
@@ -328,7 +316,8 @@ int RunOfflineSweep() {
         run.classifier_stages = matcher.stats().stage_metrics;
         run.classifier_registry = matcher.stats().registry;
         run.scored = std::move(*scored);
-        snap.bag_index = matcher.TakeBagParts();
+        // The best rep's learned state feeds the snapshot phase below
+        // (the same artifacts LearnOffline persists).
         snap.lr_weights = matcher.model().weights();
         snap.lr_intercept = matcher.model().intercept();
         snap.lr_iterations = matcher.stats().lr_iterations;
@@ -383,7 +372,6 @@ int RunOfflineSweep() {
     // rebuild wall (generate + title bootstrap) a warm load avoids. The
     // .snap artifact is left next to the JSON for tools/snapshot_inspect.
     snap.correspondences = run.scored;
-    snap.title_profiles = *profile_cache;
     const std::string snap_path = StripJsonSuffix(json_path) + ".snap";
     for (size_t rep = 0; rep < repetitions; ++rep) {
       auto start = std::chrono::steady_clock::now();

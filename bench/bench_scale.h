@@ -129,14 +129,23 @@ inline std::string EnvironmentJson(BenchScale scale) {
   std::string json = "{";
   json += "\"hardware_threads\": " +
           std::to_string(ThreadPool::HardwareThreads());
-  json += ", \"scale\": \"" + std::string(BenchScaleName(scale)) + "\"";
+  // Quoted strings are built by appending: gcc 12 at -O3 reports a false
+  // -Wrestrict on `"\"" + std::string(...)` temporaries.
+  const auto append_quoted_or_null = [&json](const char* value) {
+    if (value == nullptr) {
+      json += "null";
+      return;
+    }
+    json += '"';
+    json += value;
+    json += '"';
+  };
+  json += ", \"scale\": ";
+  append_quoted_or_null(BenchScaleName(scale));
   json += ", \"chunking_env\": ";
-  json += chunking_env != nullptr
-              ? "\"" + std::string(chunking_env) + "\""
-              : std::string("null");
+  append_quoted_or_null(chunking_env);
   json += ", \"grain_env\": ";
-  json += grain_env != nullptr ? "\"" + std::string(grain_env) + "\""
-                               : std::string("null");
+  append_quoted_or_null(grain_env);
   json += ", \"page_size\": " + std::to_string(page_size);
   json += ", \"peak_rss_kb\": " + std::to_string(peak_rss_kb);
   json += "}";

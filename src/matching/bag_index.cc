@@ -406,131 +406,4 @@ size_t MatchedBagIndex::bag_count() const {
   return product_bags_.bags.size() + offer_bags_.bags.size();
 }
 
-namespace {
-
-// Flattens one bag side into canonically sorted entries: bags by packed
-// key, terms per bag lexicographically.
-std::vector<BagIndexParts::BagEntry> ExportBags(
-    const std::unordered_map<PackedKey128, BagOfWords, PackedKey128Hash>&
-        bags) {
-  std::vector<BagIndexParts::BagEntry> entries;
-  entries.reserve(bags.size());
-  // Enumeration order is irrelevant: the sorts below impose the
-  // canonical order. // lint: order-independent
-  for (const auto& [key, bag] : bags) {
-    BagIndexParts::BagEntry entry;
-    entry.key = key;
-    entry.terms.assign(bag.counts().begin(), bag.counts().end());
-    std::sort(entry.terms.begin(), entry.terms.end());
-    entries.push_back(std::move(entry));
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const BagIndexParts::BagEntry& a,
-               const BagIndexParts::BagEntry& b) {
-              return std::make_pair(a.key.hi, a.key.lo) <
-                     std::make_pair(b.key.hi, b.key.lo);
-            });
-  return entries;
-}
-
-// Replays exported bag entries into one side's maps and recomputes the
-// distributions. The probabilities are per-term exact divisions, so the
-// rebuilt dists are content-equal to the exporting index's.
-Status RestoreBags(
-    const std::vector<BagIndexParts::BagEntry>& entries, size_t symbol_count,
-    std::unordered_map<PackedKey128, BagOfWords, PackedKey128Hash>* bags,
-    std::unordered_map<PackedKey128, TermDistribution, PackedKey128Hash>*
-        dists) {
-  bags->reserve(entries.size());
-  dists->reserve(entries.size());
-  for (const auto& entry : entries) {
-    const Symbol sym = static_cast<Symbol>(entry.key.lo & 0xFFFFFFFFu);
-    if (sym >= symbol_count) {
-      return Status::InvalidArgument(
-          "bag key references attribute symbol " + std::to_string(sym) +
-          " but only " + std::to_string(symbol_count) + " names exist");
-    }
-    auto [it, inserted] = bags->try_emplace(entry.key);
-    if (!inserted) {
-      return Status::InvalidArgument("duplicate bag key in snapshot parts");
-    }
-    BagOfWords& bag = it->second;
-    for (const auto& [term, count] : entry.terms) {
-      if (count == 0) {
-        return Status::InvalidArgument("zero term count in snapshot bag");
-      }
-      bag.AddCount(term, count);
-    }
-    if (bag.TotalCount() == 0) {
-      return Status::InvalidArgument("empty bag in snapshot parts");
-    }
-    dists->emplace(entry.key, TermDistribution(bag));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-BagIndexParts MatchedBagIndex::ExportParts() const {
-  BagIndexParts parts;
-  parts.attribute_names.reserve(interner_.size());
-  for (Symbol sym = 0; sym < interner_.size(); ++sym) {
-    parts.attribute_names.push_back(interner_.NameOf(sym));
-  }
-  parts.product_bags = ExportBags(product_bags_.bags);
-  parts.offer_bags = ExportBags(offer_bags_.bags);
-  parts.candidates = candidates_;
-  parts.offer_attrs.reserve(offer_attrs_.size());
-  // Sorted by packed group below. // lint: order-independent
-  for (const auto& [group, names] : offer_attrs_) {
-    parts.offer_attrs.push_back(BagIndexParts::OfferAttrEntry{group, names});
-  }
-  std::sort(parts.offer_attrs.begin(), parts.offer_attrs.end(),
-            [](const BagIndexParts::OfferAttrEntry& a,
-               const BagIndexParts::OfferAttrEntry& b) {
-              return a.group < b.group;
-            });
-  parts.merchant_categories = merchant_categories_;
-  return parts;
-}
-
-Result<MatchedBagIndex> MatchedBagIndex::FromParts(
-    const BagIndexParts& parts) {
-  MatchedBagIndex index;
-  // The restore is the rebuilt interner's build phase — sequential, like
-  // Build()'s scan. Symbols are assigned 0, 1, 2, … in first-Intern
-  // order, so replaying the names in symbol order reproduces the exact
-  // symbol ↔ name mapping the bag keys were packed with.
-  {
-    PhaseLock intern_phase(index.interner_.build_phase());
-    for (size_t i = 0; i < parts.attribute_names.size(); ++i) {
-      const Symbol sym = index.interner_.Intern(parts.attribute_names[i]);
-      if (sym != static_cast<Symbol>(i)) {
-        return Status::InvalidArgument(
-            "duplicate attribute name in snapshot string table: '" +
-            parts.attribute_names[i] + "'");
-      }
-    }
-  }
-  const size_t symbols = index.interner_.size();
-  PRODSYN_RETURN_NOT_OK(RestoreBags(parts.product_bags, symbols,
-                                    &index.product_bags_.bags,
-                                    &index.product_bags_.dists));
-  PRODSYN_RETURN_NOT_OK(RestoreBags(parts.offer_bags, symbols,
-                                    &index.offer_bags_.bags,
-                                    &index.offer_bags_.dists));
-  index.candidates_ = parts.candidates;
-  index.offer_attrs_.reserve(parts.offer_attrs.size());
-  for (const auto& entry : parts.offer_attrs) {
-    auto [it, inserted] = index.offer_attrs_.emplace(entry.group, entry.names);
-    (void)it;
-    if (!inserted) {
-      return Status::InvalidArgument(
-          "duplicate offer-attribute group in snapshot parts");
-    }
-  }
-  index.merchant_categories_ = parts.merchant_categories;
-  return index;
-}
-
 }  // namespace prodsyn

@@ -57,33 +57,6 @@ struct BagIndexOptions {
   ParallelForOptions parallel{/*min_grain=*/1, ParallelChunking::kDynamic};
 };
 
-/// \brief The serializable state of a MatchedBagIndex, in canonical
-/// order — the snapshot codec's view of the index. Canonical means:
-/// attribute names in symbol order (so re-interning them reassigns the
-/// same symbols), bag entries sorted by packed key, terms per bag sorted
-/// lexicographically, offer-attribute groups sorted by packed group id.
-/// Two exports of the same index are therefore byte-identical once
-/// encoded, regardless of unordered_map layout.
-struct BagIndexParts {
-  /// One bag: packed key + (term, count) pairs sorted by term.
-  struct BagEntry {
-    PackedKey128 key;
-    std::vector<std::pair<std::string, uint64_t>> terms;
-  };
-  /// Offer attribute names of one (merchant, category) group.
-  struct OfferAttrEntry {
-    uint64_t group = 0;  ///< PackGroup(merchant, category)
-    std::vector<std::string> names;  ///< sorted (std::set order at build)
-  };
-
-  std::vector<std::string> attribute_names;  ///< interner, symbol order
-  std::vector<BagEntry> product_bags;        ///< sorted by (key.hi, key.lo)
-  std::vector<BagEntry> offer_bags;          ///< sorted by (key.hi, key.lo)
-  std::vector<CandidateTuple> candidates;    ///< build order (C, M groups)
-  std::vector<OfferAttrEntry> offer_attrs;   ///< sorted by group
-  std::vector<std::pair<MerchantId, CategoryId>> merchant_categories;
-};
-
 /// \brief Immutable bag/distribution index over one MatchingContext.
 class MatchedBagIndex {
  public:
@@ -155,17 +128,6 @@ class MatchedBagIndex {
 
   /// \brief Number of distinct (attribute, group) bags held.
   size_t bag_count() const;
-
-  /// \brief Canonically ordered serializable state (see BagIndexParts).
-  BagIndexParts ExportParts() const;
-
-  /// \brief Rebuilds an index from exported parts: re-interns the names
-  /// in symbol order (symbols come out identical), replays the bags, and
-  /// recomputes each bag's TermDistribution. Every lookup on the rebuilt
-  /// index returns content-equal bags/dists/candidates to the exporting
-  /// index. InvalidArgument on internally inconsistent parts (duplicate
-  /// names, duplicate bag keys, out-of-range symbols).
-  static Result<MatchedBagIndex> FromParts(const BagIndexParts& parts);
 
  private:
   struct BagMap {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "src/ml/dense_matrix.h"
 #include "src/util/check.h"
@@ -193,9 +194,6 @@ Result<std::vector<AttributeCorrespondence>> ClassifierMatcher::Generate(
   }
   stats_.registry = registry.Snapshot();
   stats_.stage_metrics = stats_.registry.stages;
-  if (options_.retain_bag_index) {
-    retained_bag_parts_ = index.ExportParts();
-  }
   return out;
 }
 

@@ -13,7 +13,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/matching/bag_index.h"
@@ -46,8 +45,7 @@ struct ClassifierMatcherOptions {
   /// scoring chunk gets its own FeatureComputer (the memoization caches
   /// are not shared) and writes per-index slots, and LR training reduces
   /// fixed-block partial gradients in order, so results are bit-identical
-  /// regardless of thread count (unless regression.parallel_mode opts
-  /// into hogwild). 0 = hardware default, mirroring
+  /// regardless of thread count. 0 = hardware default, mirroring
   /// SynthesizerOptions::runtime_threads.
   size_t offline_threads = 1;
   /// Chunked-scheduling knobs for the candidate-scoring sweep. Each chunk
@@ -61,11 +59,6 @@ struct ClassifierMatcherOptions {
   /// candidate scoring) and per scoring chunk; Generate returns
   /// Status::Cancelled when it fires. Must outlive the Generate call.
   const CancellationToken* cancellation = nullptr;
-  /// Export the built MatchedBagIndex as canonically ordered
-  /// BagIndexParts at the end of Generate, retrievable once via
-  /// TakeBagParts() — the snapshot writer's source. Off by default: the
-  /// export copies every bag, which synthesis-only callers never need.
-  bool retain_bag_index = false;
 };
 
 /// \brief Statistics of one Generate() run, for reports (paper §5.1 quotes
@@ -107,16 +100,11 @@ class ClassifierMatcher : public SchemaMatcher {
   /// \brief The feature scaler fitted by the most recent Generate() call.
   const StandardScaler& scaler() const { return scaler_; }
 
-  /// \brief Moves out the bag-index parts retained by the most recent
-  /// Generate() (empty unless ClassifierMatcherOptions::retain_bag_index).
-  BagIndexParts TakeBagParts() { return std::move(retained_bag_parts_); }
-
  private:
   ClassifierMatcherOptions options_;
   ClassifierRunStats stats_;
   LogisticRegression model_;
   StandardScaler scaler_;
-  BagIndexParts retained_bag_parts_;
 };
 
 /// \brief Factory for the Fig. 7 baseline: identical classifier but bags

@@ -73,16 +73,6 @@ Result<MatchStore> TitleOfferProductMatcher::Match(
     category_offer_lists.push_back(&list);
   }
 
-  // Warm profiles grouped per category once, so each shard seeds its
-  // cache with a map lookup instead of a scan.
-  std::unordered_map<CategoryId, std::vector<const TitleProfileCacheEntry*>>
-      warm_by_category;
-  if (options_.warm_profiles != nullptr) {
-    for (const TitleProfileCacheEntry& entry : *options_.warm_profiles) {
-      warm_by_category[entry.category].push_back(&entry);
-    }
-  }
-
   // Each category is one independent shard: build its identifier index
   // and product profiles, then score its offers in input order. Results
   // land in per-category slots, so the sequential merge below is
@@ -137,17 +127,6 @@ Result<MatchStore> TitleOfferProductMatcher::Match(
     // candidate, so eager precomputation over `documents` costs more
     // than it saves.
     std::unordered_map<ProductId, SoftTfIdfProfile> profiles;
-    // Warm start: profiles restored from a snapshot stand in for the
-    // lazily derived ones. A warm profile is bit-identical to what
-    // MakeProfile would produce (same corpus, and the profile's token
-    // order travels with it), so seeding never changes a match.
-    if (auto warm_it = warm_by_category.find(category);
-        warm_it != warm_by_category.end()) {
-      for (const TitleProfileCacheEntry* entry : warm_it->second) {
-        if (documents.find(entry->product) == documents.end()) continue;
-        profiles.emplace(entry->product, entry->profile);
-      }
-    }
     const auto profile_of = [&](ProductId pid) -> const SoftTfIdfProfile& {
       auto it = profiles.find(pid);
       if (it == profiles.end()) {
@@ -254,39 +233,6 @@ Result<MatchStore> TitleOfferProductMatcher::Match(
     stats->stage_metrics = stats->registry.stages;
   }
   return matches;
-}
-
-Result<std::vector<TitleProfileCacheEntry>>
-TitleOfferProductMatcher::BuildProfileCache(const Catalog& catalog) const {
-  // Distinct categories in ascending id order — the canonical
-  // serialization order of the TFPF section.
-  std::set<CategoryId> category_set;
-  for (const auto& product : catalog.products()) {
-    category_set.insert(product.category);
-  }
-  std::vector<TitleProfileCacheEntry> entries;
-  for (CategoryId category : category_set) {
-    // Identical corpus construction to Match(): products in
-    // ProductsInCategory order, each document added once — so the IDF
-    // weights (and therefore the profiles) are the ones Match derives.
-    std::unordered_map<ProductId, std::vector<std::string>> documents;
-    TfIdfCorpus corpus;
-    const auto& pids = catalog.ProductsInCategory(category);
-    for (ProductId pid : pids) {
-      PRODSYN_ASSIGN_OR_RETURN(const Product* product,
-                               catalog.GetProduct(pid));
-      auto doc = ProductDocument(*product);
-      corpus.AddDocument(doc);
-      documents.emplace(pid, std::move(doc));
-    }
-    if (documents.empty()) continue;
-    const SoftTfIdf scorer(&corpus, options_.soft_tfidf_threshold);
-    for (ProductId pid : pids) {
-      entries.push_back(TitleProfileCacheEntry{
-          category, pid, scorer.MakeProfile(documents.at(pid))});
-    }
-  }
-  return entries;
 }
 
 }  // namespace prodsyn

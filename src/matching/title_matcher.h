@@ -18,24 +18,12 @@
 
 #include "src/catalog/catalog.h"
 #include "src/catalog/match_store.h"
-#include "src/text/soft_tfidf.h"
 #include "src/util/metrics_registry.h"
 #include "src/util/result.h"
 #include "src/util/stage_metrics.h"
 #include "src/util/thread_pool.h"
 
 namespace prodsyn {
-
-/// \brief One precomputed product profile of the title matcher, keyed by
-/// (category, product). The snapshot persists these (section TFPF) so a
-/// warm start skips the per-category MakeProfile work; the profile's
-/// distinct_tokens order is part of its identity (SoftTfIdf accumulates
-/// in that order), so a restored profile scores bit-identically.
-struct TitleProfileCacheEntry {
-  CategoryId category = kInvalidCategory;
-  ProductId product = kInvalidProduct;
-  SoftTfIdfProfile profile;
-};
 
 /// \brief Options of TitleOfferProductMatcher.
 struct TitleMatcherOptions {
@@ -55,12 +43,6 @@ struct TitleMatcherOptions {
   /// differ wildly in offer and product count, so the default claims them
   /// one at a time (dynamic, grain 1). Never affects output.
   ParallelForOptions parallel{/*min_grain=*/1, ParallelChunking::kDynamic};
-  /// Optional warm product profiles (e.g. restored from a snapshot):
-  /// Match() seeds each category shard's profile cache from them instead
-  /// of deriving profiles lazily. Must have been built against the same
-  /// catalog; entries for unknown categories are ignored. The matches are
-  /// bit-identical with or without warm profiles. Must outlive Match().
-  const std::vector<TitleProfileCacheEntry>* warm_profiles = nullptr;
 };
 
 /// \brief Statistics of one Match() run. The counters are deterministic
@@ -90,14 +72,6 @@ class TitleOfferProductMatcher {
   /// match coverage by design).
   Result<MatchStore> Match(const Catalog& catalog, const OfferStore& offers,
                            TitleMatcherStats* stats = nullptr) const;
-
-  /// \brief Eagerly derives every product's profile, per category in
-  /// ascending id order, products in catalog order — the deterministic
-  /// enumeration the snapshot writer serializes. Each category's corpus
-  /// is the same one Match() builds, so the profiles are the ones Match
-  /// would derive lazily.
-  Result<std::vector<TitleProfileCacheEntry>> BuildProfileCache(
-      const Catalog& catalog) const;
 
  private:
   TitleMatcherOptions options_;

@@ -1,7 +1,6 @@
 #include "src/ml/logistic_regression.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 
@@ -105,19 +104,6 @@ Status LogisticRegression::Fit(const DenseMatrix& data,
   const double total_weight =
       w_pos * static_cast<double>(positives) + w_neg * negatives;
 
-  if (options.parallel_mode == LrParallelMode::kHogwild) {
-    return FitHogwild(data, options, pool, epoch_stage, w_pos, w_neg,
-                      total_weight);
-  }
-  return FitDeterministic(data, options, pool, epoch_stage, w_pos, w_neg,
-                          total_weight);
-}
-
-Status LogisticRegression::FitDeterministic(
-    const DenseMatrix& data, const LogisticRegressionOptions& options,
-    ThreadPool* pool, StageCounters* epoch_stage, double w_pos, double w_neg,
-    double total_weight) {
-  const size_t n = data.rows();
   const size_t dim = data.cols();
   weights_.assign(dim, 0.0);
   intercept_ = 0.0;
@@ -198,113 +184,6 @@ Status LogisticRegression::FitDeterministic(
       intercept_velocity = options.momentum * intercept_velocity -
                            options.learning_rate * grad_intercept;
       intercept_ += intercept_velocity;
-    }
-    if (max_grad < options.gradient_tolerance) break;
-  }
-  return Status::OK();
-}
-
-Status LogisticRegression::FitHogwild(const DenseMatrix& data,
-                                      const LogisticRegressionOptions& options,
-                                      ThreadPool* pool,
-                                      StageCounters* epoch_stage, double w_pos,
-                                      double w_neg, double total_weight) {
-  const size_t n = data.rows();
-  const size_t dim = data.cols();
-  // Shared model state: relaxed atomics, so concurrent per-row updates
-  // are well-defined (no torn reads/writes) but unordered — the result
-  // depends on the interleaving. Explicitly zeroed rather than relying
-  // on value-initialization of atomics.
-  std::vector<std::atomic<double>> shared_w(dim);
-  for (auto& w : shared_w) w.store(0.0, std::memory_order_relaxed);
-  std::atomic<double> shared_intercept{0.0};
-
-  // Per-row step size calibrated so one full epoch applies roughly the
-  // same total correction as one deterministic full-batch step (without
-  // momentum): eta * sum_i(err_i x_i) ~ learning_rate * mean gradient.
-  const double eta = options.learning_rate / total_weight;
-  // L2 drag per row, scaled so an epoch decays weights by ~learning_rate
-  // * l2, matching the batch regularizer.
-  const double l2_per_row = options.l2 * total_weight / static_cast<double>(n);
-
-  const size_t block_rows = std::max<size_t>(1, options.block_rows);
-  const size_t blocks = (n + block_rows - 1) / block_rows;
-  const size_t slot_stride = dim + 1;
-  // Gradient-estimate slots, reused for the stopping test only: the
-  // values are computed from racy (relaxed) weight reads, so unlike the
-  // deterministic mode they are not reproducible — nothing downstream
-  // treats them as such.
-  std::vector<double> slots(blocks * slot_stride, 0.0);
-
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (pool == nullptr && blocks > 1 && ResolveThreads(options.threads) > 1) {
-    owned_pool = std::make_unique<ThreadPool>(ResolveThreads(options.threads));
-    pool = owned_pool.get();
-  }
-
-  // Shared state is atomic (shared_w/shared_intercept) or per-block
-  // (slots); the interleaving-dependent result is this mode's documented
-  // contract opt-out. // lint: sharded
-  auto block_body = [&](size_t block_begin, size_t block_end) {
-    std::vector<double> local_w(dim);
-    for (size_t b = block_begin; b < block_end; ++b) {
-      double* slot = slots.data() + b * slot_stride;
-      std::fill(slot, slot + slot_stride, 0.0);
-      const size_t row_begin = b * block_rows;
-      const size_t row_end = std::min(n, row_begin + block_rows);
-      for (size_t i = row_begin; i < row_end; ++i) {
-        const double* x = data.Row(i);
-        double z = shared_intercept.load(std::memory_order_relaxed);
-        for (size_t j = 0; j < dim; ++j) {
-          local_w[j] = shared_w[j].load(std::memory_order_relaxed);
-          z += local_w[j] * x[j];
-        }
-        const double p = Sigmoid(z);
-        const int label = data.label(i);
-        const double w = label == 1 ? w_pos : w_neg;
-        const double err = w * (p - static_cast<double>(label));
-        for (size_t j = 0; j < dim; ++j) {
-          shared_w[j].fetch_add(-eta * (err * x[j] + l2_per_row * local_w[j]),
-                                std::memory_order_relaxed);
-        }
-        if (options.fit_intercept) {
-          shared_intercept.fetch_add(-eta * err, std::memory_order_relaxed);
-        }
-        // Stop-test bookkeeping: the same partial sums the deterministic
-        // mode reduces, evaluated at the weights this row happened to see.
-        Axpy(err, x, slot, dim);
-        slot[dim] += err;
-      }
-    }
-  };
-
-  weights_.assign(dim, 0.0);
-  intercept_ = 0.0;
-  iterations_used_ = 0;
-  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
-    ++iterations_used_;
-    ScopedStageTimer epoch_timer(epoch_stage);
-    if (pool != nullptr && blocks > 1) {
-      pool->ParallelFor(blocks, block_body, options.parallel);
-    } else {
-      block_body(0, blocks);
-    }
-    ReduceSlotsInOrder(&slots, blocks, slot_stride);
-    const double* sums = slots.data();
-
-    for (size_t j = 0; j < dim; ++j) {
-      weights_[j] = shared_w[j].load(std::memory_order_relaxed);
-      PRODSYN_DCHECK_FINITE(weights_[j]);
-    }
-    intercept_ = shared_intercept.load(std::memory_order_relaxed);
-    double max_grad = 0.0;
-    for (size_t j = 0; j < dim; ++j) {
-      max_grad = std::max(
-          max_grad,
-          std::fabs(sums[j] / total_weight + options.l2 * weights_[j]));
-    }
-    if (options.fit_intercept) {
-      max_grad = std::max(max_grad, std::fabs(sums[dim] / total_weight));
     }
     if (max_grad < options.gradient_tolerance) break;
   }

@@ -11,10 +11,6 @@
 // tree reduce — so the trained weights are bit-identical for any
 // `threads` value and any scheduling plan, the same determinism contract
 // as every other parallel stage (docs/ARCHITECTURE.md).
-//
-// An opt-in hogwild mode (LrParallelMode::kHogwild) trades that
-// determinism for per-row SGD updates applied straight to shared
-// relaxed-atomic weights; see LogisticRegressionOptions::parallel_mode.
 
 #ifndef PRODSYN_ML_LOGISTIC_REGRESSION_H_
 #define PRODSYN_ML_LOGISTIC_REGRESSION_H_
@@ -29,28 +25,12 @@
 
 namespace prodsyn {
 
-/// \brief How Fit parallelizes the per-epoch gradient computation.
-enum class LrParallelMode {
-  /// Fixed-block partial gradients + sequential in-order tree reduce:
-  /// bit-identical weights for any thread count and chunk plan. The
-  /// default, and the only mode the determinism contract covers.
-  kDeterministic,
-  /// Sharded hogwild: every row applies its SGD step directly to shared
-  /// relaxed-atomic weights, no reduce, no momentum. Roughly another ~2×
-  /// at high thread counts, but the result depends on the interleaving —
-  /// NOT deterministic, NOT covered by the contract (see
-  /// docs/STATIC_ANALYSIS.md). Converges to the same optimum in
-  /// expectation; tests pin AUC parity, not weight equality.
-  kHogwild,
-};
-
 /// \brief Training options for LogisticRegression.
 struct LogisticRegressionOptions {
   double learning_rate = 0.5;
   /// Heavy-ball momentum (0 disables). With standardized features the
   /// default cuts convergence by roughly an order of magnitude while
-  /// remaining fully deterministic. Ignored in hogwild mode (per-row SGD
-  /// has no global velocity).
+  /// remaining fully deterministic.
   double momentum = 0.9;
   size_t max_iterations = 2000;
   /// L2 penalty λ applied to weights (not the intercept).
@@ -66,17 +46,15 @@ struct LogisticRegressionOptions {
   /// default, 1 = fully sequential (no pool). ClassifierMatcher overrides
   /// this with its `offline_threads` knob at Generate time.
   size_t threads = 1;
-  /// Rows per numeric block in deterministic mode. Block boundaries — and
-  /// therefore the floating-point reduce order — depend ONLY on this and
-  /// the row count, so changing `threads` or `parallel` never changes the
-  /// trained weights. Changing `block_rows` itself is a (documented)
-  /// numeric change, like changing the learning rate.
+  /// Rows per numeric block. Block boundaries — and therefore the
+  /// floating-point reduce order — depend ONLY on this and the row count,
+  /// so changing `threads` or `parallel` never changes the trained
+  /// weights. Changing `block_rows` itself is a (documented) numeric
+  /// change, like changing the learning rate.
   size_t block_rows = 256;
   /// Scheduling-only knobs for the per-epoch ParallelFor over blocks.
-  /// Never affects output in deterministic mode.
+  /// Never affects output.
   ParallelForOptions parallel{/*min_grain=*/1, ParallelChunking::kStatic};
-  /// See LrParallelMode.
-  LrParallelMode parallel_mode = LrParallelMode::kDeterministic;
 };
 
 /// \brief Trained binary logistic model.
@@ -124,15 +102,6 @@ class LogisticRegression {
                  size_t iterations_used);
 
  private:
-  Status FitDeterministic(const DenseMatrix& data,
-                          const LogisticRegressionOptions& options,
-                          ThreadPool* pool, StageCounters* epoch_stage,
-                          double w_pos, double w_neg, double total_weight);
-  Status FitHogwild(const DenseMatrix& data,
-                    const LogisticRegressionOptions& options, ThreadPool* pool,
-                    StageCounters* epoch_stage, double w_pos, double w_neg,
-                    double total_weight);
-
   std::vector<double> weights_;
   double intercept_ = 0.0;
   size_t iterations_used_ = 0;

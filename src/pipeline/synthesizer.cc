@@ -5,7 +5,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "src/matching/title_matcher.h"
 #include "src/snapshot/reader.h"
 #include "src/snapshot/writer.h"
 #include "src/util/fault.h"
@@ -22,12 +21,8 @@ ProductSynthesizer::ProductSynthesizer(const Catalog* catalog,
     : catalog_(catalog), options_(std::move(options)) {}
 
 Status ProductSynthesizer::RestoreFromSnapshot(OfflineSnapshot snapshot) {
-  // Structural coherence check of the bag-index sections: a CRC-valid
-  // file can still be internally inconsistent if it was produced by a
-  // buggy or newer writer. The rebuilt index is discarded — synthesis
-  // consumes the stored correspondences, not the bags.
-  PRODSYN_RETURN_NOT_OK(
-      MatchedBagIndex::FromParts(snapshot.bag_index).status());
+  // A CRC-valid file can still be internally inconsistent if a buggy
+  // writer produced it; each Restore validates the state it installs.
   PRODSYN_RETURN_NOT_OK(model_.Restore(std::move(snapshot.lr_weights),
                                        snapshot.lr_intercept,
                                        snapshot.lr_iterations));
@@ -45,10 +40,8 @@ Status ProductSynthesizer::RestoreFromSnapshot(OfflineSnapshot snapshot) {
   return Status::OK();
 }
 
-Result<OfflineSnapshot> ProductSynthesizer::BuildSnapshot(
-    ClassifierMatcher* matcher) const {
+OfflineSnapshot ProductSynthesizer::BuildSnapshot() const {
   OfflineSnapshot snapshot;
-  snapshot.bag_index = matcher->TakeBagParts();
   snapshot.correspondences = correspondences_;
   snapshot.lr_weights = model_.weights();
   snapshot.lr_intercept = model_.intercept();
@@ -56,11 +49,6 @@ Result<OfflineSnapshot> ProductSynthesizer::BuildSnapshot(
   snapshot.scaler_means = scaler_.means();
   snapshot.scaler_stds = scaler_.stds();
   snapshot.title_model = title_classifier_.ExportModel();
-  // Warm SoftTfIdf profiles for the title bootstrap matcher. MakeProfile
-  // is threshold-independent, so default matcher options are fine.
-  PRODSYN_ASSIGN_OR_RETURN(
-      snapshot.title_profiles,
-      TitleOfferProductMatcher().BuildProfileCache(*catalog_));
   return snapshot;
 }
 
@@ -105,8 +93,6 @@ Status ProductSynthesizer::LearnOffline(const OfferStore& historical_offers,
   ClassifierMatcherOptions matcher_options = options_.matcher;
   matcher_options.offline_threads = options_.offline_threads;
   matcher_options.cancellation = options_.cancellation;
-  matcher_options.retain_bag_index =
-      snapshotting && snap.save_after_learn;
   ClassifierMatcher matcher(std::move(matcher_options));
   PRODSYN_ASSIGN_OR_RETURN(correspondences_, matcher.Generate(ctx));
   learning_stats_ = matcher.stats();
@@ -126,10 +112,7 @@ Status ProductSynthesizer::LearnOffline(const OfferStore& historical_offers,
   }
 
   if (snapshotting && snap.save_after_learn) {
-    Result<OfflineSnapshot> snapshot = BuildSnapshot(&matcher);
-    Status saved = snapshot.ok()
-                       ? SaveOfflineSnapshot(*snapshot, snap.path)
-                       : snapshot.status();
+    const Status saved = SaveOfflineSnapshot(BuildSnapshot(), snap.path);
     if (saved.ok()) {
       learning_stats_.registry.gauges.push_back(
           GaugeSnapshot{"snapshot.saved", 1});

@@ -228,7 +228,7 @@ class ProductSynthesizer {
   /// internally inconsistent snapshot content.
   Status RestoreFromSnapshot(OfflineSnapshot snapshot);
   /// Assembles the current learned state for the writer.
-  Result<OfflineSnapshot> BuildSnapshot(ClassifierMatcher* matcher) const;
+  OfflineSnapshot BuildSnapshot() const;
 
   const Catalog* catalog_;
   SynthesizerOptions options_;

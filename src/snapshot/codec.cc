@@ -14,59 +14,9 @@ namespace {
 
 // ---------------------------------------------------------------------
 // Section encoders. Each produces one payload string; the canonical
-// orders are established by the exporting structures (BagIndexParts,
-// NaiveBayesModel, the profile cache), so encoding is a straight walk.
-
-void EncodeBagEntries(const std::vector<BagIndexParts::BagEntry>& entries,
-                      ByteWriter* w) {
-  w->PutU64(entries.size());
-  for (const auto& entry : entries) {
-    w->PutU64(entry.key.hi);
-    w->PutU64(entry.key.lo);
-    w->PutU64(entry.terms.size());
-    for (const auto& [term, count] : entry.terms) {
-      w->PutString(term);
-      w->PutU64(count);
-    }
-  }
-}
-
-std::string EncodeStringTable(const BagIndexParts& parts) {
-  ByteWriter w;
-  w.PutU64(parts.attribute_names.size());
-  for (const auto& name : parts.attribute_names) w.PutString(name);
-  return w.Take();
-}
-
-std::string EncodeBags(const BagIndexParts& parts) {
-  ByteWriter w;
-  EncodeBagEntries(parts.product_bags, &w);
-  EncodeBagEntries(parts.offer_bags, &w);
-  return w.Take();
-}
-
-std::string EncodeCandidates(const BagIndexParts& parts) {
-  ByteWriter w;
-  w.PutU64(parts.candidates.size());
-  for (const auto& tuple : parts.candidates) {
-    w.PutString(tuple.catalog_attribute);
-    w.PutString(tuple.offer_attribute);
-    w.PutU32(static_cast<uint32_t>(tuple.merchant));
-    w.PutU32(static_cast<uint32_t>(tuple.category));
-  }
-  w.PutU64(parts.offer_attrs.size());
-  for (const auto& entry : parts.offer_attrs) {
-    w.PutU64(entry.group);
-    w.PutU64(entry.names.size());
-    for (const auto& name : entry.names) w.PutString(name);
-  }
-  w.PutU64(parts.merchant_categories.size());
-  for (const auto& [merchant, category] : parts.merchant_categories) {
-    w.PutU32(static_cast<uint32_t>(merchant));
-    w.PutU32(static_cast<uint32_t>(category));
-  }
-  return w.Take();
-}
+// orders are established by the exporting structures (the
+// score-descending correspondences, NaiveBayesModel), so encoding is a
+// straight walk.
 
 std::string EncodeLrModel(const OfflineSnapshot& snapshot) {
   ByteWriter w;
@@ -113,25 +63,6 @@ std::string EncodeNaiveBayes(const NaiveBayesModel& model) {
   return w.Take();
 }
 
-std::string EncodeTitleProfiles(
-    const std::vector<TitleProfileCacheEntry>& profiles) {
-  ByteWriter w;
-  w.PutU64(profiles.size());
-  for (const auto& entry : profiles) {
-    w.PutU32(static_cast<uint32_t>(entry.category));
-    w.PutU64(static_cast<uint64_t>(entry.product));
-    w.PutU64(entry.profile.distinct_tokens.size());
-    // Serialized in distinct_tokens order — the accumulation order of
-    // SoftTfIdf::Similarity, which makes a restored profile score
-    // bit-identically to the one that was saved.
-    for (const auto& token : entry.profile.distinct_tokens) {
-      w.PutString(token);
-      w.PutF64(entry.profile.weights.at(token));
-    }
-  }
-  return w.Take();
-}
-
 // ---------------------------------------------------------------------
 // Section decoders. `CheckCount` guards every element-count read: a
 // count larger than the bytes left cannot be honest, and rejecting it
@@ -155,86 +86,6 @@ Status CheckExhausted(const ByteReader& r, const char* section) {
                               " trailing bytes");
   }
   return Status::OK();
-}
-
-Result<std::vector<BagIndexParts::BagEntry>> DecodeBagEntries(ByteReader* r) {
-  PRODSYN_ASSIGN_OR_RETURN(uint64_t count, r->U64());
-  PRODSYN_RETURN_NOT_OK(CheckCount(count, *r, "bags"));
-  std::vector<BagIndexParts::BagEntry> entries;
-  entries.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    BagIndexParts::BagEntry entry;
-    PRODSYN_ASSIGN_OR_RETURN(entry.key.hi, r->U64());
-    PRODSYN_ASSIGN_OR_RETURN(entry.key.lo, r->U64());
-    PRODSYN_ASSIGN_OR_RETURN(uint64_t terms, r->U64());
-    PRODSYN_RETURN_NOT_OK(CheckCount(terms, *r, "bag terms"));
-    entry.terms.reserve(static_cast<size_t>(terms));
-    for (uint64_t t = 0; t < terms; ++t) {
-      PRODSYN_ASSIGN_OR_RETURN(std::string term, r->String());
-      PRODSYN_ASSIGN_OR_RETURN(uint64_t term_count, r->U64());
-      entry.terms.emplace_back(std::move(term), term_count);
-    }
-    entries.push_back(std::move(entry));
-  }
-  return entries;
-}
-
-Status DecodeStringTable(ByteReader r, BagIndexParts* parts) {
-  PRODSYN_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-  PRODSYN_RETURN_NOT_OK(CheckCount(count, r, "attribute names"));
-  parts->attribute_names.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    PRODSYN_ASSIGN_OR_RETURN(std::string name, r.String());
-    parts->attribute_names.push_back(std::move(name));
-  }
-  return CheckExhausted(r, "STRT");
-}
-
-Status DecodeBags(ByteReader r, BagIndexParts* parts) {
-  PRODSYN_ASSIGN_OR_RETURN(parts->product_bags, DecodeBagEntries(&r));
-  PRODSYN_ASSIGN_OR_RETURN(parts->offer_bags, DecodeBagEntries(&r));
-  return CheckExhausted(r, "BAGS");
-}
-
-Status DecodeCandidates(ByteReader r, BagIndexParts* parts) {
-  PRODSYN_ASSIGN_OR_RETURN(uint64_t candidates, r.U64());
-  PRODSYN_RETURN_NOT_OK(CheckCount(candidates, r, "candidates"));
-  parts->candidates.reserve(static_cast<size_t>(candidates));
-  for (uint64_t i = 0; i < candidates; ++i) {
-    CandidateTuple tuple;
-    PRODSYN_ASSIGN_OR_RETURN(tuple.catalog_attribute, r.String());
-    PRODSYN_ASSIGN_OR_RETURN(tuple.offer_attribute, r.String());
-    PRODSYN_ASSIGN_OR_RETURN(uint32_t merchant, r.U32());
-    PRODSYN_ASSIGN_OR_RETURN(uint32_t category, r.U32());
-    tuple.merchant = static_cast<MerchantId>(merchant);
-    tuple.category = static_cast<CategoryId>(category);
-    parts->candidates.push_back(std::move(tuple));
-  }
-  PRODSYN_ASSIGN_OR_RETURN(uint64_t groups, r.U64());
-  PRODSYN_RETURN_NOT_OK(CheckCount(groups, r, "offer-attr groups"));
-  parts->offer_attrs.reserve(static_cast<size_t>(groups));
-  for (uint64_t i = 0; i < groups; ++i) {
-    BagIndexParts::OfferAttrEntry entry;
-    PRODSYN_ASSIGN_OR_RETURN(entry.group, r.U64());
-    PRODSYN_ASSIGN_OR_RETURN(uint64_t names, r.U64());
-    PRODSYN_RETURN_NOT_OK(CheckCount(names, r, "offer-attr names"));
-    entry.names.reserve(static_cast<size_t>(names));
-    for (uint64_t n = 0; n < names; ++n) {
-      PRODSYN_ASSIGN_OR_RETURN(std::string name, r.String());
-      entry.names.push_back(std::move(name));
-    }
-    parts->offer_attrs.push_back(std::move(entry));
-  }
-  PRODSYN_ASSIGN_OR_RETURN(uint64_t mcs, r.U64());
-  PRODSYN_RETURN_NOT_OK(CheckCount(mcs, r, "merchant categories"));
-  parts->merchant_categories.reserve(static_cast<size_t>(mcs));
-  for (uint64_t i = 0; i < mcs; ++i) {
-    PRODSYN_ASSIGN_OR_RETURN(uint32_t merchant, r.U32());
-    PRODSYN_ASSIGN_OR_RETURN(uint32_t category, r.U32());
-    parts->merchant_categories.emplace_back(static_cast<MerchantId>(merchant),
-                                            static_cast<CategoryId>(category));
-  }
-  return CheckExhausted(r, "CAND");
 }
 
 Status DecodeLrModel(ByteReader r, OfflineSnapshot* snapshot) {
@@ -311,36 +162,6 @@ Status DecodeNaiveBayes(ByteReader r, NaiveBayesModel* model) {
   return CheckExhausted(r, "NBCL");
 }
 
-Status DecodeTitleProfiles(ByteReader r,
-                           std::vector<TitleProfileCacheEntry>* profiles) {
-  PRODSYN_ASSIGN_OR_RETURN(uint64_t count, r.U64());
-  PRODSYN_RETURN_NOT_OK(CheckCount(count, r, "title profiles"));
-  profiles->reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    TitleProfileCacheEntry entry;
-    PRODSYN_ASSIGN_OR_RETURN(uint32_t category, r.U32());
-    PRODSYN_ASSIGN_OR_RETURN(uint64_t product, r.U64());
-    entry.category = static_cast<CategoryId>(category);
-    entry.product = static_cast<ProductId>(product);
-    PRODSYN_ASSIGN_OR_RETURN(uint64_t tokens, r.U64());
-    PRODSYN_RETURN_NOT_OK(CheckCount(tokens, r, "profile tokens"));
-    entry.profile.distinct_tokens.reserve(static_cast<size_t>(tokens));
-    entry.profile.weights.reserve(static_cast<size_t>(tokens));
-    for (uint64_t t = 0; t < tokens; ++t) {
-      PRODSYN_ASSIGN_OR_RETURN(std::string token, r.String());
-      PRODSYN_ASSIGN_OR_RETURN(double weight, r.F64());
-      auto [it, inserted] = entry.profile.weights.emplace(token, weight);
-      (void)it;
-      if (!inserted) {
-        return Status::ParseError("duplicate token in serialized profile");
-      }
-      entry.profile.distinct_tokens.push_back(std::move(token));
-    }
-    profiles->push_back(std::move(entry));
-  }
-  return CheckExhausted(r, "TFPF");
-}
-
 // Little-endian scalar peeks for header/footer fields (the ByteReader is
 // used for payloads; the fixed-layout frame is simpler by offset).
 uint32_t PeekU32(const unsigned char* p) {
@@ -368,13 +189,9 @@ std::string FourCcName(uint32_t id) {
 std::string EncodeSnapshotFile(const OfflineSnapshot& snapshot) {
   // Payloads in canonical section order.
   const std::pair<uint32_t, std::string> sections[] = {
-      {kSectionStringTable, EncodeStringTable(snapshot.bag_index)},
-      {kSectionBags, EncodeBags(snapshot.bag_index)},
-      {kSectionCandidates, EncodeCandidates(snapshot.bag_index)},
       {kSectionLrModel, EncodeLrModel(snapshot)},
       {kSectionCorrespondences, EncodeCorrespondences(snapshot)},
       {kSectionNaiveBayes, EncodeNaiveBayes(snapshot.title_model)},
-      {kSectionTitleProfiles, EncodeTitleProfiles(snapshot.title_profiles)},
   };
   const size_t section_count = std::size(sections);
 
@@ -496,17 +313,19 @@ Result<OfflineSnapshot> DecodeSnapshotSections(const void* data, size_t size,
                                                const SnapshotLayout& layout) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   (void)size;
-  // Version 1 defines exactly these sections, in this order.
+  // The current format version defines exactly these sections, in this
+  // order.
   constexpr uint32_t kExpected[] = {
-      kSectionStringTable,     kSectionBags,       kSectionCandidates,
-      kSectionLrModel,         kSectionCorrespondences,
-      kSectionNaiveBayes,      kSectionTitleProfiles,
+      kSectionLrModel,
+      kSectionCorrespondences,
+      kSectionNaiveBayes,
   };
   constexpr size_t kExpectedCount = std::size(kExpected);
   if (layout.sections.size() != kExpectedCount) {
     return Status::ParseError("snapshot holds " +
                               std::to_string(layout.sections.size()) +
-                              " sections; format version 1 defines " +
+                              " sections; format version " +
+                              std::to_string(kFormatVersion) + " defines " +
                               std::to_string(kExpectedCount));
   }
   for (size_t i = 0; i < kExpectedCount; ++i) {
@@ -521,14 +340,9 @@ Result<OfflineSnapshot> DecodeSnapshotSections(const void* data, size_t size,
                       static_cast<size_t>(layout.sections[i].length));
   };
   OfflineSnapshot snapshot;
-  PRODSYN_RETURN_NOT_OK(DecodeStringTable(reader_of(0), &snapshot.bag_index));
-  PRODSYN_RETURN_NOT_OK(DecodeBags(reader_of(1), &snapshot.bag_index));
-  PRODSYN_RETURN_NOT_OK(DecodeCandidates(reader_of(2), &snapshot.bag_index));
-  PRODSYN_RETURN_NOT_OK(DecodeLrModel(reader_of(3), &snapshot));
-  PRODSYN_RETURN_NOT_OK(DecodeCorrespondences(reader_of(4), &snapshot));
-  PRODSYN_RETURN_NOT_OK(DecodeNaiveBayes(reader_of(5), &snapshot.title_model));
-  PRODSYN_RETURN_NOT_OK(
-      DecodeTitleProfiles(reader_of(6), &snapshot.title_profiles));
+  PRODSYN_RETURN_NOT_OK(DecodeLrModel(reader_of(0), &snapshot));
+  PRODSYN_RETURN_NOT_OK(DecodeCorrespondences(reader_of(1), &snapshot));
+  PRODSYN_RETURN_NOT_OK(DecodeNaiveBayes(reader_of(2), &snapshot.title_model));
   return snapshot;
 }
 

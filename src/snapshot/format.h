@@ -36,7 +36,7 @@ namespace prodsyn {
 
 inline constexpr char kSnapshotMagic[8] = {'P', 'S', 'Y', 'N',
                                            'S', 'N', 'A', 'P'};
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 /// Written as the literal u32 0x01020304; a big-endian writer would
 /// produce bytes that read back as 0x04030201 here, which the loader
 /// rejects (the format is little-endian only).
@@ -47,7 +47,8 @@ inline constexpr size_t kHeaderSize = 32;
 inline constexpr size_t kSectionEntrySize = 24;
 inline constexpr size_t kFooterSize = 8;
 
-/// Section ids (fourcc, first character in the low byte).
+/// Section ids (fourcc, first character in the low byte). Version 2
+/// holds exactly the three sections below, in declaration order.
 inline constexpr uint32_t FourCc(char a, char b, char c, char d) {
   return static_cast<uint32_t>(static_cast<unsigned char>(a)) |
          (static_cast<uint32_t>(static_cast<unsigned char>(b)) << 8) |
@@ -55,20 +56,12 @@ inline constexpr uint32_t FourCc(char a, char b, char c, char d) {
          (static_cast<uint32_t>(static_cast<unsigned char>(d)) << 24);
 }
 
-/// String table: the bag-index interner's names in symbol order.
-inline constexpr uint32_t kSectionStringTable = FourCc('S', 'T', 'R', 'T');
-/// Packed-key bag index: product + offer bags in canonical key order.
-inline constexpr uint32_t kSectionBags = FourCc('B', 'A', 'G', 'S');
-/// Candidate tuples + per-group offer attributes + merchant categories.
-inline constexpr uint32_t kSectionCandidates = FourCc('C', 'A', 'N', 'D');
 /// Trained LR weights + the standardizing scaler, as f64 bit patterns.
 inline constexpr uint32_t kSectionLrModel = FourCc('L', 'R', 'M', 'W');
 /// Scored attribute correspondences (the offline phase's output).
 inline constexpr uint32_t kSectionCorrespondences = FourCc('C', 'O', 'R', 'R');
 /// Title classifier's naive-Bayes state.
 inline constexpr uint32_t kSectionNaiveBayes = FourCc('N', 'B', 'C', 'L');
-/// SoftTfIdf profiles of the title bootstrap matcher.
-inline constexpr uint32_t kSectionTitleProfiles = FourCc('T', 'F', 'P', 'F');
 
 }  // namespace prodsyn
 

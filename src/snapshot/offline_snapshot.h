@@ -1,14 +1,14 @@
-// The in-memory value an offline snapshot persists: everything the
-// offline-learning phase computed, in canonical order, so that a process
+// The in-memory value an offline snapshot persists: exactly what the
+// run-time phase reads (paper §4) — the scored correspondences the
+// reconciler thresholds at θ, the LR model and scaler that scored them,
+// and the title classifier — in canonical order, so that a process
 // restoring it reproduces bit-identical synthesis output without
 // touching the text feeds (docs/PERSISTENCE.md).
 //
 // The scored correspondences are stored, not re-derived: re-scoring from
 // a rebuilt bag index would accumulate divergence sums in a fresh
 // unordered_map layout, which is deterministic per process but not a
-// serializable property. The bag index itself still travels in the
-// snapshot — it is the expensive artifact, inspectable by tools and
-// reusable by future incremental-learning work.
+// serializable property.
 
 #ifndef PRODSYN_SNAPSHOT_OFFLINE_SNAPSHOT_H_
 #define PRODSYN_SNAPSHOT_OFFLINE_SNAPSHOT_H_
@@ -17,8 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/matching/bag_index.h"
-#include "src/matching/title_matcher.h"
 #include "src/matching/types.h"
 #include "src/ml/naive_bayes.h"
 
@@ -26,8 +24,6 @@ namespace prodsyn {
 
 /// \brief The offline-learning state one snapshot file holds.
 struct OfflineSnapshot {
-  /// Sections STRT + BAGS + CAND: the bag index in canonical order.
-  BagIndexParts bag_index;
   /// Section CORR: the scored correspondences, in the order Generate
   /// returned them (score-descending).
   std::vector<AttributeCorrespondence> correspondences;
@@ -40,9 +36,6 @@ struct OfflineSnapshot {
   std::vector<double> scaler_stds;
   /// Section NBCL: the title classifier's naive-Bayes state.
   NaiveBayesModel title_model;
-  /// Section TFPF: warm SoftTfIdf profiles of the title bootstrap
-  /// matcher, (category, product) ascending.
-  std::vector<TitleProfileCacheEntry> title_profiles;
 };
 
 /// \brief Snapshot knobs of SynthesizerOptions.

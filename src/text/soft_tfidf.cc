@@ -35,11 +35,9 @@ double SoftTfIdf::Similarity(const SoftTfIdfProfile& a,
                              const SoftTfIdfProfile& b) const {
   if (a.empty() || b.empty()) return 0.0;
   double score = 0.0;
-  // Accumulate in distinct_tokens order, not weights-map order: the
-  // profile's token list is part of its serialized identity, so a profile
-  // restored from a snapshot sums in exactly the order the saved profile
-  // did — float accumulation order is a property of the profile, not of
-  // the map's bucket layout.
+  // Accumulate in distinct_tokens order, not weights-map order: float
+  // accumulation order is then a property of the profile (its token
+  // order), not of the map's bucket layout.
   for (const auto& wa : a.distinct_tokens) {
     const double weight_a = a.weights.at(wa);
     double best_sim = 0.0;

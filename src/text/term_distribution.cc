@@ -16,12 +16,6 @@ void BagOfWords::AddText(std::string_view text,
   for (auto& token : Tokenize(text, options)) Add(std::move(token));
 }
 
-void BagOfWords::AddCount(std::string term, uint64_t count) {
-  if (count == 0) return;
-  counts_[std::move(term)] += count;
-  total_ += count;
-}
-
 void BagOfWords::Merge(const BagOfWords& other) {
   for (const auto& [term, count] : other.counts_) {
     counts_[term] += count;

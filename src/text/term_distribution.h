@@ -28,11 +28,6 @@ class BagOfWords {
   /// \brief Merges all counts of `other` into this bag.
   void Merge(const BagOfWords& other);
 
-  /// \brief Adds `count` occurrences of `term` at once — the snapshot
-  /// restore path, which replays serialized (term, count) pairs instead
-  /// of `count` separate Add calls.
-  void AddCount(std::string term, uint64_t count);
-
   /// \brief Occurrences of `term` (0 if absent).
   uint64_t Count(const std::string& term) const;
 

@@ -1,10 +1,8 @@
 // Determinism and layout tests for the parallel LR trainer: fixed-block
 // gradient sharding must produce bit-identical weights for ANY thread
 // count and ANY ParallelFor chunk plan (the offline half of the repo's
-// determinism contract), the flat DenseMatrix path must match the AoS
-// Dataset path exactly, and the opt-in hogwild mode must converge to a
-// model of comparable quality (AUC parity) without the bit-identity
-// promise.
+// determinism contract), and the flat DenseMatrix path must match the
+// AoS Dataset path exactly.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +13,6 @@
 #include "src/ml/dataset.h"
 #include "src/ml/dense_matrix.h"
 #include "src/ml/logistic_regression.h"
-#include "src/ml/metrics.h"
 #include "src/ml/scaler.h"
 #include "src/util/random.h"
 #include "src/util/sched_stats.h"
@@ -50,21 +47,6 @@ bool BitIdentical(double a, double b) {
   std::memcpy(&ua, &a, sizeof(ua));
   std::memcpy(&ub, &b, sizeof(ub));
   return ua == ub;
-}
-
-double AucOf(const LogisticRegression& model, const Dataset& data,
-             const StandardScaler& scaler) {
-  std::vector<double> scores;
-  std::vector<int> labels;
-  scores.reserve(data.size());
-  labels.reserve(data.size());
-  for (const auto& ex : data.examples()) {
-    std::vector<double> features = ex.features;
-    EXPECT_TRUE(scaler.Transform(&features).ok());
-    scores.push_back(*model.PredictProbability(features));
-    labels.push_back(ex.label);
-  }
-  return *ComputeAuc(scores, labels);
 }
 
 class LrParallelTest : public ::testing::Test {
@@ -194,37 +176,6 @@ TEST_F(LrParallelTest, FlatMatrixMatchesAosDataset) {
   EXPECT_TRUE(
       BitIdentical(from_dataset.intercept(), from_matrix.intercept()));
   EXPECT_EQ(from_dataset.iterations_used(), from_matrix.iterations_used());
-}
-
-// Hogwild gives up bit-identity, not model quality: on a seeded dataset
-// its AUC must sit within tolerance of the deterministic mode's.
-TEST_F(LrParallelTest, HogwildConvergesToComparableAuc) {
-  LogisticRegression deterministic;
-  ASSERT_TRUE(
-      deterministic.Fit(matrix_, LogisticRegressionOptions{}).ok());
-  const double reference_auc = AucOf(deterministic, data_, scaler_);
-  ASSERT_GT(reference_auc, 0.9);
-
-  for (const size_t threads : {size_t{1}, size_t{4}}) {
-    LogisticRegressionOptions options;
-    options.parallel_mode = LrParallelMode::kHogwild;
-    options.threads = threads;
-    LogisticRegression hogwild;
-    ASSERT_TRUE(hogwild.Fit(matrix_, options).ok());
-    ASSERT_TRUE(hogwild.fitted());
-    const double hogwild_auc = AucOf(hogwild, data_, scaler_);
-    EXPECT_NEAR(hogwild_auc, reference_auc, 0.02) << "threads=" << threads;
-  }
-}
-
-TEST_F(LrParallelTest, HogwildRejectsDegenerateSets) {
-  LogisticRegressionOptions options;
-  options.parallel_mode = LrParallelMode::kHogwild;
-  LogisticRegression model;
-  EXPECT_TRUE(model.Fit(Dataset(), options).IsInvalidArgument());
-  Dataset all_positive;
-  ASSERT_TRUE(all_positive.Add({{1.0}, 1}).ok());
-  EXPECT_TRUE(model.Fit(all_positive, options).IsFailedPrecondition());
 }
 
 TEST(DenseMatrixTest, PacksDatasetInRowMajorOrder) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "src/datagen/world.h"
 #include "src/eval/correspondence_eval.h"
 #include "src/eval/oracle.h"
@@ -18,6 +21,14 @@ struct EquivCase {
   const char* b;
   bool equivalent;
 };
+
+// Prints the case by content, so parameterized test names do not carry the
+// (ASLR-randomized) addresses of the string literals.
+void PrintTo(const EquivCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.a))
+      << (c.equivalent ? " == " : " != ")
+      << ::testing::PrintToString(std::string(c.b));
+}
 
 class ValuesEquivalentTest : public ::testing::TestWithParam<EquivCase> {};
 

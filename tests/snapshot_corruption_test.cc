@@ -1,5 +1,6 @@
-// Corruption fuzz of the snapshot loader: truncations at and around every
-// structural boundary plus hundreds of seeded single-byte flips. The
+// Corruption fuzz of the snapshot loader: truncation to every prefix
+// length (so at and around every structural boundary) plus hundreds of
+// seeded single-byte flips. The
 // contract (docs/PERSISTENCE.md): every mangled variant is rejected with
 // a clean Status — no crash, no hang, no UB (the CI chaos leg runs this
 // under asan-ubsan), and no silently wrong decode.
@@ -10,7 +11,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -27,23 +27,14 @@ namespace {
 // truncation or flip can land in any structural region.
 OfflineSnapshot MakeSample() {
   OfflineSnapshot snap;
-  snap.bag_index.attribute_names = {"brand", "model"};
-  BagIndexParts::BagEntry bag;
-  bag.key.hi = 7;
-  bag.key.lo = (uint64_t(2) << 32) | 0;
-  bag.terms = {{"acme", 2}, {"rocket", 1}};
-  snap.bag_index.product_bags.push_back(bag);
-  bag.key.hi = 9;
-  snap.bag_index.offer_bags.push_back(bag);
   CandidateTuple tuple;
   tuple.catalog_attribute = "brand";
   tuple.offer_attribute = "mfr";
   tuple.merchant = 1;
   tuple.category = 2;
-  snap.bag_index.candidates.push_back(tuple);
-  snap.bag_index.offer_attrs.push_back({5, {"mfr"}});
-  snap.bag_index.merchant_categories = {{1, 2}};
   snap.correspondences.push_back({tuple, 0.75});
+  tuple.offer_attribute = "maker";
+  snap.correspondences.push_back({tuple, 0.5});
   snap.lr_weights = {0.5, -1.5};
   snap.lr_intercept = 0.25;
   snap.lr_iterations = 11;
@@ -58,12 +49,6 @@ OfflineSnapshot MakeSample() {
   snap.title_model.total_documents = 3;
   snap.title_model.classes.push_back(cls);
   snap.title_model.vocabulary = {"acme"};
-  TitleProfileCacheEntry profile;
-  profile.category = 2;
-  profile.product = 77;
-  profile.profile.distinct_tokens = {"acme"};
-  profile.profile.weights = {{"acme", 1.0}};
-  snap.title_profiles.push_back(profile);
   return snap;
 }
 
@@ -103,26 +88,10 @@ TEST_F(SnapshotCorruption, PristineBytesDecode) {
 }
 
 TEST_F(SnapshotCorruption, TruncationAtEveryStructuralBoundary) {
-  // Every structural edge: empty file, mid-header, each section-table row,
-  // each section payload start/middle/end, mid-footer, off-by-one short.
-  std::set<size_t> cuts = {0, 1, 4, 8, kHeaderSize / 2, kHeaderSize - 1,
-                           kHeaderSize, bytes_->size() - kFooterSize,
-                           bytes_->size() - kFooterSize + 1,
-                           bytes_->size() - kFooterSize / 2,
-                           bytes_->size() - 1};
-  for (size_t i = 0; i < layout_->sections.size(); ++i) {
-    const SnapshotSectionEntry& s = layout_->sections[i];
-    cuts.insert(kHeaderSize + i * kSectionEntrySize);          // table row
-    cuts.insert(kHeaderSize + i * kSectionEntrySize + 5);      // mid-row
-    cuts.insert(static_cast<size_t>(s.offset));                // payload start
-    cuts.insert(static_cast<size_t>(s.offset + s.length / 2));
-    cuts.insert(static_cast<size_t>(s.offset + s.length));     // payload end
-    if (s.length > 0) {
-      cuts.insert(static_cast<size_t>(s.offset + s.length - 1));
-    }
-  }
-  for (size_t cut : cuts) {
-    ASSERT_LT(cut, bytes_->size());
+  // Every prefix of the file, so every structural edge is among the cuts:
+  // empty file, mid-header, each section-table row, each section payload
+  // start/middle/end, mid-footer, off-by-one short.
+  for (size_t cut = 0; cut < bytes_->size(); ++cut) {
     SCOPED_TRACE("truncated to " + std::to_string(cut) + " bytes");
     const Status st = TryDecode(bytes_->substr(0, cut));
     EXPECT_FALSE(st.ok()) << "truncated snapshot accepted";

@@ -12,12 +12,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/datagen/world.h"
-#include "src/matching/bag_index.h"
-#include "src/matching/title_matcher.h"
 #include "src/pipeline/synthesizer.h"
 #include "src/snapshot/byte_io.h"
 #include "src/snapshot/codec.h"
@@ -126,27 +126,15 @@ TEST(ByteIo, TruncatedReadsReturnParseErrorNotUb) {
 // content (including f64 edge bit patterns).
 OfflineSnapshot MakeSampleSnapshot() {
   OfflineSnapshot snap;
-  snap.bag_index.attribute_names = {"brand", "model", "type"};
-  BagIndexParts::BagEntry product_bag;
-  product_bag.key.hi = 42;
-  product_bag.key.lo = (uint64_t(2) << 32) | 1;
-  product_bag.terms = {{"alpha", 2}, {"beta", 1}};
-  snap.bag_index.product_bags.push_back(product_bag);
-  BagIndexParts::BagEntry offer_bag;
-  offer_bag.key.hi = 43;
-  offer_bag.key.lo = (uint64_t(1) << 32) | 0;
-  offer_bag.terms = {{"gamma", 3}};
-  snap.bag_index.offer_bags.push_back(offer_bag);
   CandidateTuple tuple;
   tuple.catalog_attribute = "brand";
   tuple.offer_attribute = "mfr";
   tuple.merchant = 7;
   tuple.category = 3;
-  snap.bag_index.candidates.push_back(tuple);
-  snap.bag_index.offer_attrs.push_back({11, {"mfr", "sku"}});
-  snap.bag_index.merchant_categories = {{7, 3}, {8, 3}};
-
   snap.correspondences.push_back({tuple, 0.875});
+  tuple.offer_attribute = "manufacturer";
+  tuple.merchant = 8;
+  snap.correspondences.push_back({tuple, -0.0});
   snap.lr_weights = {1.5, -2.25, 0.0};
   snap.lr_intercept = -0.5;
   snap.lr_iterations = 37;
@@ -162,46 +150,10 @@ OfflineSnapshot MakeSampleSnapshot() {
   snap.title_model.total_documents = 5;
   snap.title_model.classes.push_back(cls);
   snap.title_model.vocabulary = {"alpha", "beta"};
-
-  TitleProfileCacheEntry entry;
-  entry.category = 3;
-  entry.product = 1001;
-  entry.profile.distinct_tokens = {"alpha", "beta"};
-  entry.profile.weights = {{"alpha", 0.6}, {"beta", 0.8}};
-  snap.title_profiles.push_back(entry);
   return snap;
 }
 
 void ExpectSnapshotsEqual(const OfflineSnapshot& a, const OfflineSnapshot& b) {
-  EXPECT_EQ(a.bag_index.attribute_names, b.bag_index.attribute_names);
-  ASSERT_EQ(a.bag_index.product_bags.size(), b.bag_index.product_bags.size());
-  for (size_t i = 0; i < a.bag_index.product_bags.size(); ++i) {
-    EXPECT_EQ(a.bag_index.product_bags[i].key.hi,
-              b.bag_index.product_bags[i].key.hi);
-    EXPECT_EQ(a.bag_index.product_bags[i].key.lo,
-              b.bag_index.product_bags[i].key.lo);
-    EXPECT_EQ(a.bag_index.product_bags[i].terms,
-              b.bag_index.product_bags[i].terms);
-  }
-  ASSERT_EQ(a.bag_index.offer_bags.size(), b.bag_index.offer_bags.size());
-  for (size_t i = 0; i < a.bag_index.offer_bags.size(); ++i) {
-    EXPECT_EQ(a.bag_index.offer_bags[i].key.hi,
-              b.bag_index.offer_bags[i].key.hi);
-    EXPECT_EQ(a.bag_index.offer_bags[i].key.lo,
-              b.bag_index.offer_bags[i].key.lo);
-    EXPECT_EQ(a.bag_index.offer_bags[i].terms, b.bag_index.offer_bags[i].terms);
-  }
-  ASSERT_EQ(a.bag_index.candidates.size(), b.bag_index.candidates.size());
-  for (size_t i = 0; i < a.bag_index.candidates.size(); ++i) {
-    EXPECT_TRUE(a.bag_index.candidates[i] == b.bag_index.candidates[i]);
-  }
-  ASSERT_EQ(a.bag_index.offer_attrs.size(), b.bag_index.offer_attrs.size());
-  for (size_t i = 0; i < a.bag_index.offer_attrs.size(); ++i) {
-    EXPECT_EQ(a.bag_index.offer_attrs[i].group, b.bag_index.offer_attrs[i].group);
-    EXPECT_EQ(a.bag_index.offer_attrs[i].names, b.bag_index.offer_attrs[i].names);
-  }
-  EXPECT_EQ(a.bag_index.merchant_categories, b.bag_index.merchant_categories);
-
   ASSERT_EQ(a.correspondences.size(), b.correspondences.size());
   for (size_t i = 0; i < a.correspondences.size(); ++i) {
     EXPECT_TRUE(a.correspondences[i].tuple == b.correspondences[i].tuple);
@@ -230,17 +182,19 @@ void ExpectSnapshotsEqual(const OfflineSnapshot& a, const OfflineSnapshot& b) {
               b.title_model.classes[i].token_counts);
   }
   EXPECT_EQ(a.title_model.vocabulary, b.title_model.vocabulary);
-
-  ASSERT_EQ(a.title_profiles.size(), b.title_profiles.size());
-  for (size_t i = 0; i < a.title_profiles.size(); ++i) {
-    EXPECT_EQ(a.title_profiles[i].category, b.title_profiles[i].category);
-    EXPECT_EQ(a.title_profiles[i].product, b.title_profiles[i].product);
-    EXPECT_EQ(a.title_profiles[i].profile.distinct_tokens,
-              b.title_profiles[i].profile.distinct_tokens);
-    EXPECT_EQ(a.title_profiles[i].profile.weights,
-              b.title_profiles[i].profile.weights);
-  }
 }
+
+// The section ids of a validated layout, in table order.
+std::vector<uint32_t> SectionIds(const SnapshotLayout& layout) {
+  std::vector<uint32_t> ids;
+  for (const SnapshotSectionEntry& entry : layout.sections) {
+    ids.push_back(entry.id);
+  }
+  return ids;
+}
+
+const std::vector<uint32_t> kV2SectionIds = {
+    kSectionLrModel, kSectionCorrespondences, kSectionNaiveBayes};
 
 TEST(SnapshotCodec, EncodeValidateDecodeRoundTrip) {
   const OfflineSnapshot original = MakeSampleSnapshot();
@@ -251,16 +205,11 @@ TEST(SnapshotCodec, EncodeValidateDecodeRoundTrip) {
   ASSERT_TRUE(layout.ok()) << layout.status();
   EXPECT_EQ(layout->format_version, kFormatVersion);
   EXPECT_EQ(layout->file_size, bytes.size());
-  ASSERT_EQ(layout->sections.size(), 7u);
+  EXPECT_EQ(SectionIds(*layout), kV2SectionIds);
   // Sections tile the payload region exactly, in canonical order.
   uint64_t expect_offset =
       kHeaderSize + layout->sections.size() * kSectionEntrySize;
-  const uint32_t expected_ids[] = {
-      kSectionStringTable, kSectionBags,       kSectionCandidates,
-      kSectionLrModel,     kSectionCorrespondences,
-      kSectionNaiveBayes,  kSectionTitleProfiles};
   for (size_t i = 0; i < layout->sections.size(); ++i) {
-    EXPECT_EQ(layout->sections[i].id, expected_ids[i]) << "section " << i;
     EXPECT_EQ(layout->sections[i].offset, expect_offset) << "section " << i;
     expect_offset += layout->sections[i].length;
   }
@@ -329,60 +278,6 @@ TEST(SnapshotFile, SaveOverwritesAtomically) {
   std::remove(path.c_str());
 }
 
-// --- bag-index restore -------------------------------------------------
-
-TEST(BagIndexParts, ExportFromPartsPreservesParts) {
-  // Parts → index → parts is the identity: FromParts replays the exact
-  // interner symbols and bag contents ExportParts canonicalized.
-  WorldConfig config;
-  config.seed = 13;
-  config.categories_per_archetype = 1;
-  config.merchants = 10;
-  config.products_per_category = 8;
-  auto world = World::Generate(config);
-  ASSERT_TRUE(world.ok()) << world.status();
-  MatchingContext ctx;
-  ctx.catalog = &world->catalog;
-  ctx.offers = &world->historical_offers;
-  ctx.matches = &world->historical_matches;
-  auto index = MatchedBagIndex::Build(ctx);
-  ASSERT_TRUE(index.ok()) << index.status();
-  const BagIndexParts parts = index->ExportParts();
-  EXPECT_FALSE(parts.attribute_names.empty());
-  EXPECT_FALSE(parts.product_bags.empty());
-
-  auto restored = MatchedBagIndex::FromParts(parts);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  const BagIndexParts parts2 = restored->ExportParts();
-  EXPECT_EQ(parts.attribute_names, parts2.attribute_names);
-  ASSERT_EQ(parts.product_bags.size(), parts2.product_bags.size());
-  for (size_t i = 0; i < parts.product_bags.size(); ++i) {
-    EXPECT_EQ(parts.product_bags[i].key.hi, parts2.product_bags[i].key.hi);
-    EXPECT_EQ(parts.product_bags[i].key.lo, parts2.product_bags[i].key.lo);
-    EXPECT_EQ(parts.product_bags[i].terms, parts2.product_bags[i].terms);
-  }
-  ASSERT_EQ(parts.offer_bags.size(), parts2.offer_bags.size());
-  for (size_t i = 0; i < parts.offer_bags.size(); ++i) {
-    EXPECT_EQ(parts.offer_bags[i].key.hi, parts2.offer_bags[i].key.hi);
-    EXPECT_EQ(parts.offer_bags[i].key.lo, parts2.offer_bags[i].key.lo);
-    EXPECT_EQ(parts.offer_bags[i].terms, parts2.offer_bags[i].terms);
-  }
-  EXPECT_EQ(parts.merchant_categories, parts2.merchant_categories);
-}
-
-TEST(BagIndexParts, FromPartsRejectsOutOfRangeSymbol) {
-  BagIndexParts parts;
-  parts.attribute_names = {"brand"};
-  BagIndexParts::BagEntry bag;
-  bag.key.hi = 1;
-  bag.key.lo = (uint64_t(2) << 32) | 5;  // symbol 5 > interner size 1
-  bag.terms = {{"x", 1}};
-  parts.product_bags.push_back(bag);
-  auto restored = MatchedBagIndex::FromParts(parts);
-  EXPECT_FALSE(restored.ok());
-  EXPECT_TRUE(restored.status().IsInvalidArgument()) << restored.status();
-}
-
 // --- pipeline property tests ------------------------------------------
 
 class SnapshotPipeline : public ::testing::Test {
@@ -445,6 +340,33 @@ void ExpectBitIdenticalModels(const ProductSynthesizer& a,
   EXPECT_EQ(a.scaler().stds(), b.scaler().stds());
 }
 
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Rewrites the header's format version and re-seals the header and
+// whole-file CRCs, so the result is a checksum-valid file of `version`.
+std::string WithFormatVersion(std::string bytes, uint32_t version) {
+  const auto put_u32 = [&bytes](size_t offset, uint32_t value) {
+    for (int i = 0; i < 4; ++i) {
+      bytes[offset + static_cast<size_t>(i)] =
+          static_cast<char>((value >> (8 * i)) & 0xFFu);
+    }
+  };
+  put_u32(8, version);
+  put_u32(28, Crc32(bytes.data(), 28));
+  put_u32(bytes.size() - kFooterSize,
+          Crc32(bytes.data(), bytes.size() - kFooterSize));
+  return bytes;
+}
+
 TEST_F(SnapshotPipeline, LoadedSnapshotReproducesSynthesisBitIdentically) {
   const std::string path = ::testing::TempDir() + "/pipeline.snap";
   std::remove(path.c_str());
@@ -457,6 +379,14 @@ TEST_F(SnapshotPipeline, LoadedSnapshotReproducesSynthesisBitIdentically) {
                                 world_->historical_matches)
                   .ok());
   EXPECT_EQ(GaugeValue(cold.learning_stats().registry, "snapshot.saved"), 1);
+  {
+    // The published file holds exactly the sections restore reads.
+    const std::string bytes = ReadBytes(path);
+    auto layout = ValidateSnapshotBytes(bytes.data(), bytes.size());
+    ASSERT_TRUE(layout.ok()) << layout.status();
+    EXPECT_EQ(layout->format_version, kFormatVersion);
+    EXPECT_EQ(SectionIds(*layout), kV2SectionIds);
+  }
   auto cold_result = cold.Synthesize(world_->incoming_offers, world_->pages);
   ASSERT_TRUE(cold_result.ok()) << cold_result.status();
 
@@ -513,7 +443,6 @@ TEST_F(SnapshotPipeline, CorruptSnapshotDegradesToRebuild) {
       reference.Synthesize(world_->incoming_offers, world_->pages);
   ASSERT_TRUE(reference_result.ok());
 
-  // Plant a corrupt snapshot: valid prefix, one flipped payload byte.
   SynthesizerOptions options;
   options.snapshot.path = path;
   {
@@ -523,51 +452,63 @@ TEST_F(SnapshotPipeline, CorruptSnapshotDegradesToRebuild) {
                                   world_->historical_matches)
                     .ok());
   }
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(bytes.size(), kHeaderSize + kFooterSize);
-  bytes[bytes.size() / 2] ^= 0x40;
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+  const std::string good = ReadBytes(path);
+  ASSERT_GT(good.size(), kHeaderSize + kFooterSize);
 
-  // The corrupt file degrades to a rebuild — and the rebuild re-publishes
-  // a good snapshot over it.
-  ProductSynthesizer fallback(&world_->catalog, options);
-  ASSERT_TRUE(fallback
-                  .LearnOffline(world_->historical_offers,
-                                world_->historical_matches)
-                  .ok());
-  EXPECT_EQ(
-      GaugeValue(fallback.learning_stats().registry, "snapshot.load_failed"),
-      1);
-  EXPECT_EQ(GaugeValue(fallback.learning_stats().registry, "snapshot.saved"),
-            1);
-  auto fallback_result =
-      fallback.Synthesize(world_->incoming_offers, world_->pages);
-  ASSERT_TRUE(fallback_result.ok());
-  EXPECT_TRUE(
-      ProductsEqual(reference_result->products, fallback_result->products));
+  // Two planted inputs: a flipped payload byte, and a stale file of the
+  // previous format version whose header and CRCs are all valid.
+  std::string flipped = good;
+  flipped[flipped.size() / 2] ^= 0x40;
+  const std::string stale = WithFormatVersion(good, 1);
+  {
+    auto layout = ValidateSnapshotBytes(stale.data(), stale.size());
+    ASSERT_FALSE(layout.ok());
+    EXPECT_NE(layout.status().message().find("unsupported snapshot format "
+                                             "version 1"),
+              std::string::npos)
+        << layout.status();
+  }
+  const std::pair<const char*, const std::string*> planted[] = {
+      {"flipped byte", &flipped}, {"stale version 1", &stale}};
 
-  // Second learner finds the re-published snapshot healthy.
-  ProductSynthesizer second(&world_->catalog, options);
-  ASSERT_TRUE(second
-                  .LearnOffline(world_->historical_offers,
-                                world_->historical_matches)
-                  .ok());
-  EXPECT_EQ(GaugeValue(second.learning_stats().registry, "snapshot.loaded"),
-            1);
-  auto second_result =
-      second.Synthesize(world_->incoming_offers, world_->pages);
-  ASSERT_TRUE(second_result.ok());
-  EXPECT_TRUE(
-      ProductsEqual(reference_result->products, second_result->products));
+  for (const auto& [name, bytes] : planted) {
+    SCOPED_TRACE(name);
+    WriteBytes(path, *bytes);
+
+    // The unusable file degrades to a rebuild — and the rebuild
+    // re-publishes a good snapshot over it.
+    ProductSynthesizer fallback(&world_->catalog, options);
+    ASSERT_TRUE(fallback
+                    .LearnOffline(world_->historical_offers,
+                                  world_->historical_matches)
+                    .ok());
+    EXPECT_EQ(GaugeValue(fallback.learning_stats().registry,
+                         "snapshot.load_failed"),
+              1);
+    EXPECT_EQ(
+        GaugeValue(fallback.learning_stats().registry, "snapshot.saved"), 1);
+    auto fallback_result =
+        fallback.Synthesize(world_->incoming_offers, world_->pages);
+    ASSERT_TRUE(fallback_result.ok());
+    EXPECT_TRUE(
+        ProductsEqual(reference_result->products, fallback_result->products));
+    EXPECT_TRUE(ReadBytes(path) == good)
+        << "the rebuild did not republish the current-version snapshot";
+
+    // Second learner finds the re-published snapshot healthy.
+    ProductSynthesizer second(&world_->catalog, options);
+    ASSERT_TRUE(second
+                    .LearnOffline(world_->historical_offers,
+                                  world_->historical_matches)
+                    .ok());
+    EXPECT_EQ(GaugeValue(second.learning_stats().registry, "snapshot.loaded"),
+              1);
+    auto second_result =
+        second.Synthesize(world_->incoming_offers, world_->pages);
+    ASSERT_TRUE(second_result.ok());
+    EXPECT_TRUE(
+        ProductsEqual(reference_result->products, second_result->products));
+  }
   std::remove(path.c_str());
 }
 
@@ -594,33 +535,6 @@ TEST_F(SnapshotPipeline, LoadDisabledAlwaysRebuilds) {
   EXPECT_EQ(GaugeValue(rebuilt.learning_stats().registry, "snapshot.saved"),
             1);
   std::remove(path.c_str());
-}
-
-TEST_F(SnapshotPipeline, WarmTitleProfilesMatchFreshProfiles) {
-  // TitleOfferProductMatcher seeded with cached profiles scores exactly
-  // like one that builds profiles from scratch.
-  TitleOfferProductMatcher matcher;
-  auto cache = matcher.BuildProfileCache(world_->catalog);
-  ASSERT_TRUE(cache.ok()) << cache.status();
-  ASSERT_FALSE(cache->empty());
-
-  TitleMatcherOptions fresh_options;
-  TitleOfferProductMatcher fresh(fresh_options);
-  auto fresh_result =
-      fresh.Match(world_->catalog, world_->historical_offers);
-  ASSERT_TRUE(fresh_result.ok()) << fresh_result.status();
-
-  TitleMatcherOptions warm_options;
-  warm_options.warm_profiles = &*cache;
-  TitleOfferProductMatcher warm(warm_options);
-  auto warm_result = warm.Match(world_->catalog, world_->historical_offers);
-  ASSERT_TRUE(warm_result.ok()) << warm_result.status();
-
-  ASSERT_EQ(fresh_result->size(), warm_result->size());
-  ASSERT_GT(fresh_result->size(), 0u);
-  for (const auto& [offer, product] : fresh_result->matches()) {
-    EXPECT_EQ(warm_result->ProductOf(offer), product) << "offer " << offer;
-  }
 }
 
 }  // namespace

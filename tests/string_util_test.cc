@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 namespace prodsyn {
 namespace {
 
@@ -75,6 +78,12 @@ struct NormalizationCase {
   const char* expected;
 };
 
+// Prints the case by its input, so parameterized test names do not carry the
+// (ASLR-randomized) address of the string literal.
+void PrintTo(const NormalizationCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.input));
+}
+
 class NormalizeAttributeNameTest
     : public ::testing::TestWithParam<NormalizationCase> {};
 
@@ -100,6 +109,10 @@ struct KeyCase {
   const char* input;
   const char* expected;
 };
+
+void PrintTo(const KeyCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.input));
+}
 
 class NormalizeKeyTest : public ::testing::TestWithParam<KeyCase> {};
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <vector>
+
 namespace prodsyn {
 namespace {
 
@@ -51,6 +55,12 @@ struct TokenizeCase {
   const char* input;
   Tokens expected;
 };
+
+// Prints the case by its input, so parameterized test names do not carry the
+// (ASLR-randomized) address of the string literal.
+void PrintTo(const TokenizeCase& c, std::ostream* os) {
+  *os << ::testing::PrintToString(std::string(c.input));
+}
 
 class TokenizeParamTest : public ::testing::TestWithParam<TokenizeCase> {};
 

@@ -22,21 +22,19 @@ import sys
 import zlib
 
 MAGIC = b"PSYNSNAP"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 ENDIAN_TAG = 0x01020304
 FOOTER_MAGIC = 0x50414E53  # "SNAP" little-endian
 HEADER_SIZE = 32
 SECTION_ENTRY_SIZE = 24
 FOOTER_SIZE = 8
 
+# The sections FORMAT_VERSION defines, in the order the file must hold
+# them.
 KNOWN_SECTIONS = {
-    "STRT": "string table (interner names, symbol order)",
-    "BAGS": "packed-key bag index (product + offer bags)",
-    "CAND": "candidate tuples + offer attrs + merchant categories",
     "LRMW": "LR weights + feature scaler (f64 bit patterns)",
     "CORR": "scored attribute correspondences",
     "NBCL": "title classifier naive-Bayes state",
-    "TFPF": "SoftTfIdf title profiles",
 }
 
 
@@ -137,6 +135,11 @@ def inspect(data):
     if expected_offset != len(data) - FOOTER_SIZE:
         raise Malformed(
             "payload region not fully covered by sections", report)
+    ids = [entry["id"] for entry in sections]
+    if ids != list(KNOWN_SECTIONS):
+        raise Malformed(
+            "sections %s, format version %d defines %s" %
+            (ids, FORMAT_VERSION, list(KNOWN_SECTIONS)), report)
     report["valid"] = True
     return report
 
