@@ -1,12 +1,32 @@
-// Multinomial naive Bayes over token documents. Used twice:
-//  - the title → category classifier of the run-time pipeline (paper §2),
-//  - the LSD instance-based matcher baseline (paper Appendix C).
+// Multinomial naive Bayes over token documents, in two forms:
+//  - MultinomialNaiveBayes trains on documents and scores by scanning
+//    every class, one string-keyed count lookup per (class, token). It is
+//    the LSD instance-based matcher baseline (paper Appendix C), the
+//    title classifier's training accumulator, and the test reference for
+//    the compiled form.
+//  - CompiledNaiveBayes is a trained NaiveBayesModel compiled once into a
+//    token-major table: token → dense id, per-class log-prior and
+//    "unseen token" rows, and per token its (class, log p) postings. The
+//    run-time title → category classifier (paper §2) scores with it: per
+//    title token one hash lookup and one pass over the classes, instead
+//    of one hash lookup and one std::log per class.
+//
+// Bit-identity. Both forms compute every term with the same helper
+// functions on the same inputs (the model's counts, alpha, vocabulary
+// size), and both add a class's terms in title-token order starting from
+// its log-prior: the reference adds log((count + alpha) / denom) per
+// token, the compiled form adds the same double, read from the posting
+// for that (token, class) or else from the unseen row, which holds the
+// count-0 value. Each class therefore sums the same doubles in the same
+// order, the scores are bit-equal, and the arg-max (ties to the
+// earlier-seen class) is the same class.
 
 #ifndef PRODSYN_ML_NAIVE_BAYES_H_
 #define PRODSYN_ML_NAIVE_BAYES_H_
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,6 +56,14 @@ struct NaiveBayesModel {
   /// Sorted.
   std::vector<std::string> vocabulary;
 };
+
+/// \brief Checks the invariants scoring relies on, so that every class
+/// score is finite: alpha is finite and > 0; every class has at least one
+/// document and the class documents sum to total_documents (so every
+/// log-prior is finite); class labels are distinct; the vocabulary is
+/// strictly sorted (its size is the number of distinct tokens, as in a
+/// trained model). InvalidArgument naming the first violation.
+Status ValidateNaiveBayesModel(const NaiveBayesModel& model);
 
 /// \brief Multinomial NB with Lidstone smoothing; class labels are strings.
 class MultinomialNaiveBayes {
@@ -70,6 +98,8 @@ class MultinomialNaiveBayes {
       const std::vector<std::string>& tokens) const;
 
   /// \brief Arg-max classification; ties break to the earlier-seen class.
+  /// FailedPrecondition when no class scores above -1e300 (only an
+  /// untrained or degenerate model can do that).
   Result<std::string> Classify(const std::vector<std::string>& tokens) const;
 
   /// \brief Canonical serializable state of the trained model.
@@ -78,8 +108,8 @@ class MultinomialNaiveBayes {
   /// \brief Reinstates a model exported by ExportModel. Classification is
   /// bit-identical to the exporting instance: scores depend only on the
   /// per-class counts, the vocabulary *size*, and the first-seen class
-  /// order — all of which the model preserves. InvalidArgument on
-  /// internally inconsistent state (duplicate class labels).
+  /// order — all of which the model preserves. InvalidArgument when the
+  /// model fails ValidateNaiveBayesModel; the instance is then unchanged.
   Status RestoreModel(const NaiveBayesModel& model);
 
  private:
@@ -98,6 +128,60 @@ class MultinomialNaiveBayes {
   std::vector<std::string> class_names_;
   std::unordered_map<std::string, bool> vocabulary_;
   uint64_t total_documents_ = 0;
+};
+
+/// \brief A NaiveBayesModel compiled into a token-major scoring table
+/// (see the file comment). Owns the model it was compiled from. Built
+/// once by Compile; immutable after, so the const methods are safe to
+/// call concurrently. Scores and classifies bit-identically to a
+/// MultinomialNaiveBayes restored from the same model. Classes are
+/// identified by their index in model().classes.
+///
+/// Move-only: the token dictionary views the strings of the owned
+/// model's vocabulary, which a move leaves where they are.
+class CompiledNaiveBayes {
+ public:
+  CompiledNaiveBayes() = default;
+  CompiledNaiveBayes(CompiledNaiveBayes&&) = default;
+  CompiledNaiveBayes& operator=(CompiledNaiveBayes&&) = default;
+  CompiledNaiveBayes(const CompiledNaiveBayes&) = delete;
+  CompiledNaiveBayes& operator=(const CompiledNaiveBayes&) = delete;
+
+  /// \brief Validates `model` (ValidateNaiveBayesModel, and every counted
+  /// token must be in the vocabulary) and compiles it.
+  static Result<CompiledNaiveBayes> Compile(NaiveBayesModel model);
+
+  /// \brief The model this table was compiled from.
+  const NaiveBayesModel& model() const { return model_; }
+
+  size_t class_count() const { return log_prior_.size(); }
+
+  /// \brief Per-class log P(class) + Σ log P(token | class), in class
+  /// order; bit-equal to MultinomialNaiveBayes::LogScore of each class.
+  /// FailedPrecondition when the model has no classes.
+  Result<std::vector<double>> LogScores(
+      const std::vector<std::string>& tokens) const;
+
+  /// \brief Index of the arg-max class; ties break to the earlier class.
+  /// Same result and errors as MultinomialNaiveBayes::Classify.
+  Result<size_t> Classify(const std::vector<std::string>& tokens) const;
+
+ private:
+  struct Posting {
+    uint32_t class_index = 0;
+    double log_p = 0.0;
+  };
+
+  NaiveBayesModel model_;
+  /// Token → dense id: its index in model_.vocabulary, whose strings the
+  /// keys view.
+  std::unordered_map<std::string_view, uint32_t> token_ids_;
+  std::vector<double> log_prior_;  // per class
+  std::vector<double> unseen_;     // per class: log of a count-0 token
+  /// Postings of token id t: postings_[offsets_[t] .. offsets_[t + 1]),
+  /// in class order.
+  std::vector<uint32_t> offsets_;
+  std::vector<Posting> postings_;
 };
 
 }  // namespace prodsyn

@@ -6,18 +6,28 @@
 
 namespace prodsyn {
 
-std::string SchemaReconciler::Key(MerchantId merchant, CategoryId category,
-                                  const std::string& offer_attribute) {
-  return std::to_string(merchant) + "\x1f" + std::to_string(category) +
-         "\x1f" + offer_attribute;
+PackedKey128 SchemaReconciler::Key(MerchantId merchant, CategoryId category,
+                                   Symbol offer_attribute) {
+  PackedKey128 key;
+  key.hi = (static_cast<uint64_t>(static_cast<uint32_t>(merchant)) << 32) |
+           static_cast<uint32_t>(category);
+  key.lo = offer_attribute;
+  return key;
 }
 
 SchemaReconciler::SchemaReconciler(
     const std::vector<AttributeCorrespondence>& correspondences,
     double theta, bool keep_candidates) {
+  // Construction is the interner's build phase; afterwards it is only
+  // looked up.
+  PhaseLock intern_phase(attributes_.build_phase());
   for (const auto& c : correspondences) {
-    const std::string key =
-        Key(c.tuple.merchant, c.tuple.category, c.tuple.offer_attribute);
+    // Without candidates, a correspondence at or below theta is never
+    // read: skip it before interning its name.
+    if (!keep_candidates && c.score <= theta) continue;
+    const PackedKey128 key =
+        Key(c.tuple.merchant, c.tuple.category,
+            attributes_.Intern(c.tuple.offer_attribute));
     if (keep_candidates) {
       candidates_[key].push_back(ReconciliationCandidate{
           c.tuple.offer_attribute, c.tuple.catalog_attribute, c.score,
@@ -57,7 +67,9 @@ SchemaReconciler::SchemaReconciler(
 std::vector<ReconciliationCandidate> SchemaReconciler::CandidatesFor(
     MerchantId merchant, CategoryId category,
     const std::string& offer_attribute, size_t top_k) const {
-  auto it = candidates_.find(Key(merchant, category, offer_attribute));
+  const Symbol attr = attributes_.Lookup(offer_attribute);
+  if (attr == kInvalidSymbol) return {};
+  auto it = candidates_.find(Key(merchant, category, attr));
   if (it == candidates_.end()) return {};
   const auto& list = it->second;
   return std::vector<ReconciliationCandidate>(
@@ -72,8 +84,12 @@ Specification SchemaReconciler::Reconcile(
   if (metrics != nullptr) metrics->AddItems(extracted.size());
   Specification out;
   for (const auto& av : extracted) {
-    auto it = map_.find(Key(merchant, category, av.name));
-    if (it == map_.end()) continue;  // no correspondence: discard (paper §4)
+    // No correspondence: discard (paper §4). A name never interned has
+    // none for any (M, C).
+    const Symbol attr = attributes_.Lookup(av.name);
+    if (attr == kInvalidSymbol) continue;
+    auto it = map_.find(Key(merchant, category, attr));
+    if (it == map_.end()) continue;
     out.push_back(AttributeValue{it->second.catalog_attribute, av.value});
   }
   return out;

@@ -13,11 +13,18 @@
 #include "src/catalog/types.h"
 #include "src/matching/types.h"
 #include "src/pipeline/provenance.h"
+#include "src/util/interner.h"
 #include "src/util/stage_metrics.h"
 
 namespace prodsyn {
 
 /// \brief Applies learned attribute correspondences to offer specs.
+///
+/// Lookups are keyed by packed integers, the scheme MatchedBagIndex uses:
+/// (merchant, category) in one word and the offer attribute's interned
+/// Symbol in the other. Construction interns the offer attribute names
+/// it keeps; at run time an extracted name is only looked up, and a name
+/// never interned has no correspondence and is dropped.
 ///
 /// Thread safety: immutable after construction; Reconcile is const and
 /// safe to call concurrently from any number of threads (the run-time
@@ -63,13 +70,17 @@ class SchemaReconciler {
     double score = 0.0;
   };
 
-  static std::string Key(MerchantId merchant, CategoryId category,
-                         const std::string& offer_attribute);
+  static PackedKey128 Key(MerchantId merchant, CategoryId category,
+                          Symbol offer_attribute);
 
-  std::unordered_map<std::string, Target> map_;
+  /// Offer attribute names of the kept correspondences; frozen after
+  /// construction (Lookup only).
+  StringInterner attributes_;
+  std::unordered_map<PackedKey128, Target, PackedKey128Hash> map_;
   /// Per (M, C, offer attribute): every scored candidate, sorted
   /// score-descending at construction. Empty unless keep_candidates.
-  std::unordered_map<std::string, std::vector<ReconciliationCandidate>>
+  std::unordered_map<PackedKey128, std::vector<ReconciliationCandidate>,
+                     PackedKey128Hash>
       candidates_;
 };
 

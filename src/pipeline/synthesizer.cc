@@ -28,7 +28,8 @@ Status ProductSynthesizer::RestoreFromSnapshot(OfflineSnapshot snapshot) {
                                        snapshot.lr_iterations));
   PRODSYN_RETURN_NOT_OK(scaler_.Restore(std::move(snapshot.scaler_means),
                                         std::move(snapshot.scaler_stds)));
-  PRODSYN_RETURN_NOT_OK(title_classifier_.RestoreModel(snapshot.title_model));
+  PRODSYN_RETURN_NOT_OK(
+      title_classifier_.RestoreModel(std::move(snapshot.title_model)));
   correspondences_ = std::move(snapshot.correspondences);
   reconciler_.emplace(correspondences_, options_.correspondence_threshold,
                       options_.record_provenance);

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/ml/dataset.h"
 #include "src/ml/logistic_regression.h"
@@ -214,6 +219,191 @@ TEST(NaiveBayesTest, LogScoreUnknownClassIsNotFound) {
   MultinomialNaiveBayes nb;
   nb.AddDocument("a", {"x"});
   EXPECT_TRUE(nb.LogScore("zzz", {"x"}).status().IsNotFound());
+}
+
+// ---------- Compiled naive Bayes against the string-scan reference ----------
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// The compiled form of `nb`'s exported model must give every class the
+// bit-equal score of the reference and pick the reference's class.
+void ExpectCompiledMatchesReference(const MultinomialNaiveBayes& nb,
+                                    const std::vector<std::string>& tokens) {
+  auto compiled = CompiledNaiveBayes::Compile(nb.ExportModel());
+  ASSERT_TRUE(compiled.ok()) << compiled.status();
+  auto scores = compiled->LogScores(tokens);
+  ASSERT_TRUE(scores.ok()) << scores.status();
+  ASSERT_EQ(scores->size(), nb.class_count());
+  for (size_t c = 0; c < nb.class_count(); ++c) {
+    auto reference = nb.LogScore(nb.classes()[c], tokens);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(Bits((*scores)[c]), Bits(*reference))
+        << "class " << nb.classes()[c] << ": " << (*scores)[c] << " vs "
+        << *reference;
+  }
+  auto index = compiled->Classify(tokens);
+  ASSERT_TRUE(index.ok()) << index.status();
+  EXPECT_EQ(nb.classes()[*index], *nb.Classify(tokens));
+}
+
+MultinomialNaiveBayes SmallModel() {
+  MultinomialNaiveBayes nb(0.001);
+  nb.AddDocument("drives", {"seagate", "sata", "rpm", "sata"});
+  nb.AddDocument("cameras", {"canon", "zoom", "lens"});
+  nb.AddDocument("drives", {"hitachi", "rpm", "cache"});
+  nb.AddDocument("monitors", {"lcd", "hdmi", "zoom"});
+  return nb;
+}
+
+TEST(CompiledNaiveBayesTest, EmptyTitleScoresThePriors) {
+  const MultinomialNaiveBayes nb = SmallModel();
+  ExpectCompiledMatchesReference(nb, {});
+  // "drives" has the most documents.
+  EXPECT_EQ(*CompiledNaiveBayes::Compile(nb.ExportModel())->Classify({}), 0u);
+}
+
+TEST(CompiledNaiveBayesTest, AllUnknownTokens) {
+  ExpectCompiledMatchesReference(SmallModel(), {"never", "seen", "words"});
+}
+
+TEST(CompiledNaiveBayesTest, KnownAndMixedTokens) {
+  const MultinomialNaiveBayes nb = SmallModel();
+  ExpectCompiledMatchesReference(nb, {"sata", "rpm"});
+  ExpectCompiledMatchesReference(nb, {"zoom", "unknown", "lens"});
+  ExpectCompiledMatchesReference(nb, {"hdmi"});
+}
+
+TEST(CompiledNaiveBayesTest, RepeatedTokens) {
+  const MultinomialNaiveBayes nb = SmallModel();
+  ExpectCompiledMatchesReference(nb, {"zoom", "zoom", "zoom", "sata"});
+  ExpectCompiledMatchesReference(nb, {"rpm", "unknown", "rpm", "unknown"});
+}
+
+TEST(CompiledNaiveBayesTest, ExactTieGoesToEarlierSeenClass) {
+  // Two mirror-image classes: same documents, same token totals, so a
+  // title of only unseen tokens scores them exactly equal.
+  MultinomialNaiveBayes nb(0.001);
+  nb.AddDocument("b", {"x"});
+  nb.AddDocument("a", {"y"});
+  auto compiled = CompiledNaiveBayes::Compile(nb.ExportModel());
+  ASSERT_TRUE(compiled.ok());
+  for (const std::vector<std::string>& tokens :
+       {std::vector<std::string>{}, std::vector<std::string>{"z", "z"}}) {
+    ExpectCompiledMatchesReference(nb, tokens);
+    const auto scores = *compiled->LogScores(tokens);
+    EXPECT_EQ(Bits(scores[0]), Bits(scores[1]));
+    EXPECT_EQ(*compiled->Classify(tokens), 0u);
+    EXPECT_EQ(*nb.Classify(tokens), "b");
+  }
+}
+
+TEST(CompiledNaiveBayesTest, RestoredReferenceAgreesWithTrained) {
+  // A reference restored from the model scores like the trained one, so
+  // either can serve as the compiled table's oracle.
+  const MultinomialNaiveBayes trained = SmallModel();
+  MultinomialNaiveBayes restored;
+  ASSERT_TRUE(restored.RestoreModel(trained.ExportModel()).ok());
+  const std::vector<std::string> tokens = {"zoom", "sata", "new"};
+  for (const auto& label : trained.classes()) {
+    EXPECT_EQ(Bits(*restored.LogScore(label, tokens)),
+              Bits(*trained.LogScore(label, tokens)));
+  }
+  ExpectCompiledMatchesReference(restored, tokens);
+}
+
+TEST(CompiledNaiveBayesTest, MovedTableKeepsItsDictionary) {
+  // The token dictionary views the owned vocabulary's strings (short
+  // tokens live inside the string objects); moves must keep them valid.
+  const MultinomialNaiveBayes nb = SmallModel();
+  const std::vector<std::string> tokens = {"sata", "zoom", "lcd", "new"};
+  auto compiled = CompiledNaiveBayes::Compile(nb.ExportModel());
+  ASSERT_TRUE(compiled.ok());
+  CompiledNaiveBayes moved(std::move(compiled).ValueOrDie());
+  CompiledNaiveBayes assigned;
+  assigned = std::move(moved);
+  const auto scores = *assigned.LogScores(tokens);
+  ASSERT_EQ(scores.size(), nb.class_count());
+  for (size_t c = 0; c < nb.class_count(); ++c) {
+    EXPECT_EQ(Bits(scores[c]), Bits(*nb.LogScore(nb.classes()[c], tokens)));
+  }
+}
+
+TEST(CompiledNaiveBayesTest, RejectsCountedTokenOutsideVocabulary) {
+  NaiveBayesModel model = SmallModel().ExportModel();
+  model.vocabulary.erase(model.vocabulary.begin());
+  ASSERT_TRUE(ValidateNaiveBayesModel(model).ok());
+  EXPECT_TRUE(CompiledNaiveBayes::Compile(std::move(model))
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(CompiledNaiveBayesTest, UntrainedModelIsFailedPrecondition) {
+  const NaiveBayesModel empty;
+  EXPECT_TRUE(ValidateNaiveBayesModel(empty).ok());
+  auto compiled = CompiledNaiveBayes::Compile(empty);
+  ASSERT_TRUE(compiled.ok());
+  EXPECT_EQ(compiled->class_count(), 0u);
+  EXPECT_TRUE(compiled->Classify({"x"}).status().IsFailedPrecondition());
+  EXPECT_TRUE(compiled->LogScores({"x"}).status().IsFailedPrecondition());
+}
+
+TEST(NaiveBayesModelTest, ValidationRejectsModelsThatCannotScore) {
+  const NaiveBayesModel valid = SmallModel().ExportModel();
+  ASSERT_TRUE(ValidateNaiveBayesModel(valid).ok());
+  std::vector<std::pair<const char*, NaiveBayesModel>> bad;
+  {
+    NaiveBayesModel m = valid;  // every log-prior would be -inf
+    for (auto& cls : m.classes) cls.documents = 0;
+    m.total_documents = 0;
+    bad.emplace_back("all classes without documents", m);
+  }
+  {
+    NaiveBayesModel m = valid;
+    m.classes[1].documents = 0;
+    m.total_documents -= valid.classes[1].documents;
+    bad.emplace_back("one class without documents", m);
+  }
+  {
+    NaiveBayesModel m = valid;
+    m.total_documents += 1;
+    bad.emplace_back("documents sum below total", m);
+  }
+  {
+    NaiveBayesModel m = valid;
+    m.total_documents = 1;
+    bad.emplace_back("documents sum above total", m);
+  }
+  {
+    NaiveBayesModel m = valid;
+    m.classes[2].label = m.classes[0].label;
+    bad.emplace_back("duplicate label", m);
+  }
+  {
+    NaiveBayesModel m = valid;
+    std::swap(m.vocabulary[0], m.vocabulary[1]);
+    bad.emplace_back("unsorted vocabulary", m);
+  }
+  {
+    NaiveBayesModel m = valid;
+    m.vocabulary.push_back(m.vocabulary.back());
+    bad.emplace_back("duplicate vocabulary entry", m);
+  }
+  for (double alpha : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+    NaiveBayesModel m = valid;
+    m.alpha = alpha;
+    bad.emplace_back("bad alpha", m);
+  }
+  for (const auto& [name, model] : bad) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(ValidateNaiveBayesModel(model).IsInvalidArgument());
+    EXPECT_TRUE(
+        CompiledNaiveBayes::Compile(model).status().IsInvalidArgument());
+    MultinomialNaiveBayes reference = SmallModel();
+    EXPECT_TRUE(reference.RestoreModel(model).IsInvalidArgument());
+    // A rejected restore leaves the instance as it was.
+    EXPECT_EQ(*reference.Classify({"sata"}), "drives");
+  }
 }
 
 TEST(MetricsTest, ConfusionCounts) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <tuple>
+
 #include "src/datagen/world.h"
 #include "src/pipeline/attribute_extraction.h"
 #include "src/pipeline/clustering.h"
@@ -7,6 +12,7 @@
 #include "src/pipeline/synthesizer.h"
 #include "src/pipeline/title_classifier.h"
 #include "src/pipeline/value_fusion.h"
+#include "src/util/random.h"
 #include "src/util/sched_stats.h"
 #include "src/util/thread_pool.h"
 
@@ -130,6 +136,106 @@ TEST(SchemaReconcilerTest, EqualScoresBreakTiesByName) {
   const auto out = reconciler.Reconcile(0, 0, {{"X", "v"}});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].name, "Alpha");
+}
+
+TEST(SchemaReconcilerTest, MatchesStringKeyedReference) {
+  // Seeded correspondences on a small (M, C, attribute) grid with scores
+  // on a coarse grid, so winners tie often; names include the byte the
+  // old concatenated string key used as its separator.
+  const std::vector<std::string> offer_attrs = {"Size", "size", "Make",
+                                                "a\x1f" "b", "", "RPM"};
+  const std::vector<std::string> catalog_attrs = {"Brand", "Capacity",
+                                                  "Speed"};
+  Rng rng(77);
+  std::vector<AttributeCorrespondence> corrs;
+  for (int i = 0; i < 600; ++i) {
+    CandidateTuple tuple;
+    tuple.catalog_attribute = catalog_attrs[rng.NextBelow(3)];
+    tuple.offer_attribute = offer_attrs[rng.NextBelow(offer_attrs.size())];
+    tuple.merchant = static_cast<MerchantId>(rng.NextBelow(4));
+    tuple.category = static_cast<CategoryId>(rng.NextBelow(3));
+    corrs.push_back({tuple, static_cast<double>(rng.NextBelow(9)) / 8.0});
+  }
+  // The reference: the same rule over a map keyed by the (M, C, name)
+  // tuple itself.
+  using Key = std::tuple<MerchantId, CategoryId, std::string>;
+  std::map<Key, std::pair<std::string, double>> winners;
+  std::map<Key, std::vector<ReconciliationCandidate>> candidates;
+  for (const auto& c : corrs) {
+    const Key key{c.tuple.merchant, c.tuple.category, c.tuple.offer_attribute};
+    candidates[key].push_back({c.tuple.offer_attribute,
+                               c.tuple.catalog_attribute, c.score, false});
+    if (c.score <= 0.5) continue;
+    auto it = winners.find(key);
+    if (it == winners.end() || c.score > it->second.second ||
+        (c.score == it->second.second &&
+         c.tuple.catalog_attribute < it->second.first)) {
+      winners[key] = {c.tuple.catalog_attribute, c.score};
+    }
+  }
+  const SchemaReconciler reconciler(corrs, 0.5, /*keep_candidates=*/true);
+  const SchemaReconciler plain(corrs, 0.5);
+  EXPECT_EQ(reconciler.mapping_count(), winners.size());
+  EXPECT_EQ(plain.mapping_count(), winners.size());
+
+  Specification extracted;
+  for (const auto& name : offer_attrs) {
+    extracted.push_back({name, "v-" + name});
+  }
+  extracted.push_back({"never seen", "x"});
+  for (MerchantId m = 0; m < 5; ++m) {
+    for (CategoryId c = 0; c < 4; ++c) {
+      Specification expected;
+      for (const auto& av : extracted) {
+        auto it = winners.find(Key{m, c, av.name});
+        if (it == winners.end()) continue;
+        expected.push_back({it->second.first, av.value});
+      }
+      EXPECT_EQ(reconciler.Reconcile(m, c, extracted), expected);
+      EXPECT_EQ(plain.Reconcile(m, c, extracted), expected);
+      for (const auto& av : extracted) {
+        auto it = candidates.find(Key{m, c, av.name});
+        const auto got = reconciler.CandidatesFor(m, c, av.name, 100);
+        if (it == candidates.end()) {
+          EXPECT_TRUE(got.empty());
+          continue;
+        }
+        auto want = it->second;
+        std::sort(want.begin(), want.end(),
+                  [](const ReconciliationCandidate& a,
+                     const ReconciliationCandidate& b) {
+                    if (a.score != b.score) return a.score > b.score;
+                    return a.catalog_attribute < b.catalog_attribute;
+                  });
+        ASSERT_EQ(got.size(), want.size());
+        auto winner = winners.find(Key{m, c, av.name});
+        bool marked = false;
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].catalog_attribute, want[i].catalog_attribute);
+          EXPECT_EQ(got[i].score, want[i].score);
+          const bool applied =
+              !marked && winner != winners.end() &&
+              want[i].catalog_attribute == winner->second.first &&
+              want[i].score == winner->second.second;
+          marked = marked || applied;
+          EXPECT_EQ(got[i].applied, applied) << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(SchemaReconcilerTest, UnknownNamesAreDropped) {
+  const std::vector<AttributeCorrespondence> corrs = {
+      {{"Capacity", "Size", 1, 2}, 0.9}};
+  const SchemaReconciler reconciler(corrs, 0.5, /*keep_candidates=*/true);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_TRUE(reconciler.Reconcile(1, 2, {{"Weight", "2kg"}}).empty());
+    EXPECT_TRUE(reconciler.CandidatesFor(1, 2, "Weight", 5).empty());
+  }
+  EXPECT_EQ(reconciler.mapping_count(), 1u);
+  EXPECT_EQ(reconciler.Reconcile(1, 2, {{"Size", "1TB"}}),
+            (Specification{{"Capacity", "1TB"}}));
 }
 
 // ---------- Clustering ----------

@@ -468,8 +468,33 @@ TEST_F(SnapshotPipeline, CorruptSnapshotDegradesToRebuild) {
               std::string::npos)
         << layout.status();
   }
+  // Two more pass every CRC but carry an NBCL title model that would
+  // crash at run time if restored: a class label that is not a category
+  // id, and classes without documents (every score -inf). Decoded from
+  // the good file, edited, re-encoded, so every checksum is valid.
+  auto with_title_model = [&good](auto edit) {
+    auto layout = ValidateSnapshotBytes(good.data(), good.size());
+    EXPECT_TRUE(layout.ok()) << layout.status();
+    auto decoded = DecodeSnapshotSections(good.data(), good.size(), *layout);
+    EXPECT_TRUE(decoded.ok()) << decoded.status();
+    OfflineSnapshot snapshot = std::move(decoded).ValueOrDie();
+    EXPECT_FALSE(snapshot.title_model.classes.empty());
+    edit(&snapshot.title_model);
+    std::string bytes = EncodeSnapshotFile(snapshot);
+    EXPECT_TRUE(ValidateSnapshotBytes(bytes.data(), bytes.size()).ok());
+    return bytes;
+  };
+  const std::string bad_label = with_title_model([](NaiveBayesModel* m) {
+    m->classes.back().label = "cameras";
+  });
+  const std::string no_documents = with_title_model([](NaiveBayesModel* m) {
+    for (auto& cls : m->classes) cls.documents = 0;
+  });
   const std::pair<const char*, const std::string*> planted[] = {
-      {"flipped byte", &flipped}, {"stale version 1", &stale}};
+      {"flipped byte", &flipped},
+      {"stale version 1", &stale},
+      {"non-numeric title-classifier label", &bad_label},
+      {"title-classifier classes without documents", &no_documents}};
 
   for (const auto& [name, bytes] : planted) {
     SCOPED_TRACE(name);
