@@ -5,17 +5,14 @@
 // bootstrap — with a determinism cross-check against the 1-thread run.
 //
 // Writes the machine-readable BENCH_offline_matching[.<scale>].json
-// (wall ms per phase per thread count, chunking plan, per-stage wall/CPU
-// breakdown from the StageMetrics snapshots) so the offline perf
-// trajectory is trackable across PRs — see docs/PERFORMANCE.md for the
-// format and docs/BENCHMARKING.md for the tier guide.
+// (wall ms per phase per thread count, per-stage wall/CPU breakdown from
+// the StageMetrics snapshots) so the offline perf trajectory is
+// trackable across PRs — see docs/PERFORMANCE.md for the format and
+// docs/BENCHMARKING.md for the tier guide.
 //
 // Environment knobs (mirroring bench_perf_pipeline):
 //   PRODSYN_BENCH_SCALE={tiny,seed,paper}  world tier (default seed)
 //   PRODSYN_BENCH_TINY=1     legacy alias for PRODSYN_BENCH_SCALE=tiny
-//   PRODSYN_BENCH_CHUNKING={static,dynamic}  override every phase's
-//                            ParallelFor chunking mode
-//   PRODSYN_BENCH_GRAIN=n    override every phase's min_grain
 //   PRODSYN_BENCH_JSON=path  output path (default per DefaultJsonPath)
 //   PRODSYN_TRACE=1          enable span tracing and write
 //                            <json_path minus .json>.trace.json plus
@@ -91,11 +88,9 @@ void AppendJsonStages(std::string* out, const char* key,
     std::snprintf(buf, sizeof(buf),
                   "        {\"name\": \"%s\", \"wall_ms\": %.3f, "
                   "\"cpu_ms\": %.3f, \"items\": %llu, "
-                  "\"max_queue_depth\": %llu, "
                   "\"p50_ms\": %.6f, \"p99_ms\": %.6f}%s\n",
                   stage.name.c_str(), stage.wall_ns / 1e6, stage.cpu_ns / 1e6,
                   static_cast<unsigned long long>(stage.items),
-                  static_cast<unsigned long long>(stage.max_queue_depth),
                   stage.latency.p50() / 1e6, stage.latency.p99() / 1e6,
                   s + 1 == stages.size() ? "" : ",");
     *out += buf;
@@ -106,7 +101,6 @@ void AppendJsonStages(std::string* out, const char* key,
 
 bool WriteSweepJson(const std::string& path, const World& world,
                     const std::string& scale,
-                    const ParallelForOptions& parallel,
                     const std::vector<OfflineRun>& runs) {
   std::string json = "{\n";
   json += "  \"bench\": \"offline_matching\",\n";
@@ -126,9 +120,6 @@ bool WriteSweepJson(const std::string& path, const World& world,
       static_cast<unsigned long long>(world.merchants.size()),
       static_cast<unsigned long long>(world.category_instances.size()));
   json += buf;
-  // The scoring sweep's ParallelFor plan (the headline generate_ms
-  // phase); bag build and title match take the same env overrides.
-  json += "  \"chunking\": " + bench::ChunkingJson(parallel) + ",\n";
   // Headlines: offline-learning and LR-training speedups of 4 threads
   // over 1 thread (the latter gated by tools/check_speedup.py --lr-min).
   double generate_1 = 0.0, generate_4 = 0.0;
@@ -249,24 +240,9 @@ int RunOfflineSweep() {
   ctx.offers = &world.historical_offers;
   ctx.matches = &world.historical_matches;
 
-  // Each phase keeps its own chunking default; the env knobs override all
-  // three uniformly.
-  const ParallelForOptions bag_parallel =
-      bench::ApplyChunkingEnv(BagIndexOptions{}.parallel);
-  const ParallelForOptions score_parallel =
-      bench::ApplyChunkingEnv(ClassifierMatcherOptions{}.parallel);
-  const ParallelForOptions lr_parallel =
-      bench::ApplyChunkingEnv(LogisticRegressionOptions{}.parallel);
-  const ParallelForOptions title_parallel =
-      bench::ApplyChunkingEnv(TitleMatcherOptions{}.parallel);
-
-  std::printf(
-      "-- offline learning thread sweep (%s scale, best of %llu, "
-      "%s chunking, scoring grain %llu) --\n",
-      bench::BenchScaleName(scale),
-      static_cast<unsigned long long>(repetitions),
-      bench::ChunkingModeName(score_parallel),
-      static_cast<unsigned long long>(score_parallel.min_grain));
+  std::printf("-- offline learning thread sweep (%s scale, best of %llu) --\n",
+              bench::BenchScaleName(scale),
+              static_cast<unsigned long long>(repetitions));
   if (tracing) Tracer::Global().Enable();
   // Scheduler accounting on by default for the sweep (the whole point of
   // the artifact's "sched" blocks); PRODSYN_SCHED_STATS=0 turns it off to
@@ -284,7 +260,6 @@ int RunOfflineSweep() {
     for (size_t rep = 0; rep < repetitions; ++rep) {
       BagIndexOptions options;
       options.build_threads = threads;
-      options.parallel = bag_parallel;
       const auto start = std::chrono::steady_clock::now();
       auto index = MatchedBagIndex::Build(ctx, options);
       const double wall_ms = MillisSince(start);
@@ -300,9 +275,6 @@ int RunOfflineSweep() {
     for (size_t rep = 0; rep < repetitions; ++rep) {
       ClassifierMatcherOptions options;
       options.offline_threads = threads;
-      options.parallel = score_parallel;
-      options.bag_index.parallel = bag_parallel;
-      options.regression.parallel = lr_parallel;
       ClassifierMatcher matcher(options);
       const auto start = std::chrono::steady_clock::now();
       auto scored = matcher.Generate(ctx);
@@ -344,7 +316,6 @@ int RunOfflineSweep() {
     for (size_t rep = 0; rep < repetitions; ++rep) {
       TitleMatcherOptions options;
       options.threads = threads;
-      options.parallel = title_parallel;
       TitleMatcherStats stats;
       const auto start = std::chrono::steady_clock::now();
       auto matches = TitleOfferProductMatcher(options).Match(
@@ -424,7 +395,7 @@ int RunOfflineSweep() {
     runs.push_back(std::move(run));
   }
   if (!WriteSweepJson(json_path, world, bench::BenchScaleName(scale),
-                      score_parallel, runs)) {
+                      runs)) {
     std::printf("offline sweep: cannot write %s\n", json_path.c_str());
     return 1;
   }

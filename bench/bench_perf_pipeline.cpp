@@ -6,19 +6,15 @@
 // thread sweep (offline learning once, then Synthesize at
 // runtime_threads = 1, 2, 4, hardware on the same learned state) and
 // writes the machine-readable BENCH_perf_pipeline[.<scale>].json
-// (offers/s per thread count, chunking plan, per-stage wall/CPU
-// breakdown) so the perf trajectory is trackable across PRs — see
-// docs/PERFORMANCE.md for the format and docs/BENCHMARKING.md for the
-// tier guide.
+// (offers/s per thread count, per-stage wall/CPU breakdown) so the perf
+// trajectory is trackable across PRs — see docs/PERFORMANCE.md for the
+// format and docs/BENCHMARKING.md for the tier guide.
 //
 // Environment knobs (env vars, so google-benchmark flags stay usable):
 //   PRODSYN_BENCH_SCALE={tiny,seed,paper}  world tier (default seed;
 //                            tiny = CI smoke, paper = §1 Bing scale —
 //                            the tier the CI perf gate measures)
 //   PRODSYN_BENCH_TINY=1     legacy alias for PRODSYN_BENCH_SCALE=tiny
-//   PRODSYN_BENCH_CHUNKING={static,dynamic}  override the sweep's
-//                            ParallelFor chunking mode
-//   PRODSYN_BENCH_GRAIN=n    override the sweep's min_grain
 //   PRODSYN_BENCH_JSON=path  output path (default per DefaultJsonPath)
 //   PRODSYN_TRACE=1          enable span tracing for the thread sweep and
 //                            write <json_path minus .json>.trace.json
@@ -274,11 +270,9 @@ void AppendJsonStage(std::string* out, const StageSnapshot& stage,
   std::snprintf(buf, sizeof(buf),
                 "        {\"name\": \"%s\", \"wall_ms\": %.3f, "
                 "\"cpu_ms\": %.3f, \"items\": %llu, "
-                "\"max_queue_depth\": %llu, "
                 "\"p50_ms\": %.6f, \"p99_ms\": %.6f}%s\n",
                 stage.name.c_str(), stage.wall_ns / 1e6, stage.cpu_ns / 1e6,
                 static_cast<unsigned long long>(stage.items),
-                static_cast<unsigned long long>(stage.max_queue_depth),
                 stage.latency.p50() / 1e6, stage.latency.p99() / 1e6,
                 last ? "" : ",");
   *out += buf;
@@ -286,7 +280,6 @@ void AppendJsonStage(std::string* out, const StageSnapshot& stage,
 
 bool WriteSweepJson(const std::string& path, const World& world,
                     const std::string& scale,
-                    const ParallelForOptions& parallel,
                     const std::vector<SweepRun>& runs) {
   std::string json = "{\n";
   json += "  \"bench\": \"perf_pipeline\",\n";
@@ -306,9 +299,6 @@ bool WriteSweepJson(const std::string& path, const World& world,
       static_cast<unsigned long long>(world.merchants.size()),
       static_cast<unsigned long long>(world.category_instances.size()));
   json += buf;
-  // The sweep's ParallelFor plan, so scaling regressions are diagnosable
-  // from the artifact alone.
-  json += "  \"chunking\": " + bench::ChunkingJson(parallel) + ",\n";
   // Headline: run-time-phase speedup of 4 threads over 1 thread.
   double wall_1 = 0.0, wall_4 = 0.0;
   for (const auto& run : runs) {
@@ -384,14 +374,9 @@ int RunThreadSweep() {
   const World& world = *world_or;
 
   SynthesizerOptions base_options;
-  base_options.parallel = bench::ApplyChunkingEnv(base_options.parallel);
-  std::printf(
-      "\n-- run-time phase thread sweep (%s scale, best of %llu, "
-      "%s chunking, grain %llu) --\n",
-      bench::BenchScaleName(scale),
-      static_cast<unsigned long long>(repetitions),
-      bench::ChunkingModeName(base_options.parallel),
-      static_cast<unsigned long long>(base_options.parallel.min_grain));
+  std::printf("\n-- run-time phase thread sweep (%s scale, best of %llu) --\n",
+              bench::BenchScaleName(scale),
+              static_cast<unsigned long long>(repetitions));
   if (tracing) Tracer::Global().Enable();
   // Scheduler accounting on by default for the sweep (the whole point of
   // the artifact's "sched" blocks); PRODSYN_SCHED_STATS=0 turns it off to
@@ -470,7 +455,7 @@ int RunThreadSweep() {
     runs.push_back(std::move(run));
   }
   if (!WriteSweepJson(json_path, world, bench::BenchScaleName(scale),
-                      base_options.parallel, runs)) {
+                      runs)) {
     std::printf("thread sweep: cannot write %s\n", json_path.c_str());
     return 1;
   }

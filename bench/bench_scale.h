@@ -1,8 +1,7 @@
 // Shared bench-tier plumbing for the thread-sweep benches
 // (bench_perf_pipeline, bench_offline_matching): the three world scales,
-// the PRODSYN_BENCH_SCALE / PRODSYN_BENCH_CHUNKING / PRODSYN_BENCH_GRAIN
-// environment knobs, and the JSON fragments that report them. See
-// docs/BENCHMARKING.md for the tier guide.
+// the PRODSYN_BENCH_SCALE environment knob, and the JSON fragments that
+// report the run's context. See docs/BENCHMARKING.md for the tier guide.
 
 #ifndef PRODSYN_BENCH_BENCH_SCALE_H_
 #define PRODSYN_BENCH_BENCH_SCALE_H_
@@ -85,42 +84,12 @@ inline std::string DefaultJsonPath(const char* name, BenchScale scale) {
   return path + ".json";
 }
 
-/// \brief Applies the PRODSYN_BENCH_CHUNKING={static,dynamic} and
-/// PRODSYN_BENCH_GRAIN=<n> overrides to a call site's default
-/// ParallelForOptions, so scaling regressions can be bisected to the
-/// chunking mode or the grain without a rebuild.
-inline ParallelForOptions ApplyChunkingEnv(ParallelForOptions options) {
-  if (const char* mode = std::getenv("PRODSYN_BENCH_CHUNKING")) {
-    options.chunking = std::string(mode) == "static"
-                           ? ParallelChunking::kStatic
-                           : ParallelChunking::kDynamic;
-  }
-  if (const char* grain = std::getenv("PRODSYN_BENCH_GRAIN")) {
-    const long value = std::atol(grain);
-    if (value > 0) options.min_grain = static_cast<size_t>(value);
-  }
-  return options;
-}
-
-inline const char* ChunkingModeName(const ParallelForOptions& options) {
-  return options.chunking == ParallelChunking::kStatic ? "static" : "dynamic";
-}
-
-/// \brief The "chunking" JSON object the sweep files embed, e.g.
-/// {"mode": "dynamic", "min_grain": 8}.
-inline std::string ChunkingJson(const ParallelForOptions& options) {
-  return std::string("{\"mode\": \"") + ChunkingModeName(options) +
-         "\", \"min_grain\": " + std::to_string(options.min_grain) + "}";
-}
-
 /// \brief The "environment" JSON object the sweep files embed: the
-/// hardware the run measured and the knobs that shaped it, so a regression
-/// in a tracked trend file is attributable to the machine or the
-/// configuration without re-running. Peak RSS is read at call time — emit
-/// it after the sweep so it covers the measured runs.
+/// hardware the run measured and the scale that shaped it, so a
+/// regression in a tracked trend file is attributable to the machine
+/// without re-running. Peak RSS is read at call time — emit it after the
+/// sweep so it covers the measured runs.
 inline std::string EnvironmentJson(BenchScale scale) {
-  const char* chunking_env = std::getenv("PRODSYN_BENCH_CHUNKING");
-  const char* grain_env = std::getenv("PRODSYN_BENCH_GRAIN");
   long page_size = sysconf(_SC_PAGESIZE);
   if (page_size < 0) page_size = 0;
   long peak_rss_kb = 0;
@@ -129,23 +98,11 @@ inline std::string EnvironmentJson(BenchScale scale) {
   std::string json = "{";
   json += "\"hardware_threads\": " +
           std::to_string(ThreadPool::HardwareThreads());
-  // Quoted strings are built by appending: gcc 12 at -O3 reports a false
-  // -Wrestrict on `"\"" + std::string(...)` temporaries.
-  const auto append_quoted_or_null = [&json](const char* value) {
-    if (value == nullptr) {
-      json += "null";
-      return;
-    }
-    json += '"';
-    json += value;
-    json += '"';
-  };
-  json += ", \"scale\": ";
-  append_quoted_or_null(BenchScaleName(scale));
-  json += ", \"chunking_env\": ";
-  append_quoted_or_null(chunking_env);
-  json += ", \"grain_env\": ";
-  append_quoted_or_null(grain_env);
+  // The quoted string is built by appending: gcc 12 at -O3 reports a
+  // false -Wrestrict on `"\"" + std::string(...)` temporaries.
+  json += ", \"scale\": \"";
+  json += BenchScaleName(scale);
+  json += '"';
   json += ", \"page_size\": " + std::to_string(page_size);
   json += ", \"peak_rss_kb\": " + std::to_string(peak_rss_kb);
   json += "}";

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <optional>
+#include <memory>
 #include <set>
 #include <utility>
 
@@ -13,6 +13,11 @@
 namespace prodsyn {
 
 namespace {
+
+// ParallelFor grain of the build sweeps: each item is already a whole
+// (merchant, category) group, product or bag, and groups inherit the Zipf
+// skew of the offer distribution, so workers claim them individually.
+constexpr size_t kBuildGrain = 1;
 
 // Group key components that are irrelevant at a level are pinned to -1 so
 // that e.g. the kCategory bag of an attribute is shared by all merchants.
@@ -155,30 +160,16 @@ Result<MatchedBagIndex> MatchedBagIndex::Build(const MatchingContext& ctx,
     group_offers.push_back(&list);
   }
 
-  const size_t threads = options.build_threads == 0
-                             ? ThreadPool::HardwareThreads()
-                             : options.build_threads;
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  const auto run_chunked =
-      [&pool, &options](size_t n,
-                        const std::function<void(size_t, size_t)>& body) {
-        if (pool.has_value()) {
-          ParallelForOptions build_options = options.parallel;
-          if (build_options.label == nullptr) {
-            build_options.label = "bag_index.build";
-          }
-          pool->ParallelFor(n, body, build_options);
-        } else if (n > 0) {
-          body(0, n);
-        }
-      };
+  // Sized by the group and product sweeps; workers beyond both counts
+  // would idle in them.
+  const std::unique_ptr<ThreadPool> pool = ThreadPool::ForItems(
+      options.build_threads, std::max(group_list.size(), products.size()));
 
   std::vector<std::unordered_map<Symbol, BagOfWords>> offer_shards(
       group_list.size());
   // Per-index slots: chunk g writes only offer_shards[g]; the interner is
   // frozen for lookup. // lint: sharded
-  run_chunked(group_list.size(), [&](size_t begin, size_t end) {
+  auto tokenize_groups = [&](size_t begin, size_t end) {
     for (size_t g = begin; g < end; ++g) {
       auto& bags = offer_shards[g];
       for (const Offer* offer : *group_offers[g]) {
@@ -188,11 +179,13 @@ Result<MatchedBagIndex> MatchedBagIndex::Build(const MatchingContext& ctx,
         }
       }
     }
-  });
+  };
+  ThreadPool::ParallelFor(pool.get(), "bag_index.build", group_list.size(),
+                          kBuildGrain, tokenize_groups);
 
   std::vector<ProductProfile> profiles(products.size());
   // Per-index slots: chunk i writes only profiles[i]. // lint: sharded
-  run_chunked(products.size(), [&](size_t begin, size_t end) {
+  auto profile_products = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       auto& profile = profiles[i].attr_bags;
       for (const auto& av : products[i]->spec) {
@@ -207,7 +200,9 @@ Result<MatchedBagIndex> MatchedBagIndex::Build(const MatchingContext& ctx,
         it->second.AddText(av.value, options.tokenizer);
       }
     }
-  });
+  };
+  ThreadPool::ParallelFor(pool.get(), "bag_index.build", products.size(),
+                          kBuildGrain, profile_products);
 
   // --- Sequential merges, in sorted group order: shard bags become the
   // kMerchantCategory bags and fold into the kCategory / kMerchant bags,
@@ -295,22 +290,22 @@ Result<MatchedBagIndex> MatchedBagIndex::Build(const MatchingContext& ctx,
     }
     std::vector<TermDistribution> dists(entries.size());
     // Per-index slots: chunk i writes only dists[i]. // lint: sharded
-    run_chunked(entries.size(), [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        // A bag only exists because AddText inserted at least one token,
-        // and FeatureComputer relies on bag↔dist pairing (ComputeLevel).
-        PRODSYN_DCHECK(entries[i].second->TotalCount() > 0);
-        dists[i] = TermDistribution(*entries[i].second);
-      }
-    });
+    ThreadPool::ParallelFor(
+        pool.get(), "bag_index.build", entries.size(), kBuildGrain,
+        [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            // A bag only exists because AddText inserted at least one
+            // token, and FeatureComputer relies on bag↔dist pairing
+            // (ComputeLevel).
+            PRODSYN_DCHECK(entries[i].second->TotalCount() > 0);
+            dists[i] = TermDistribution(*entries[i].second);
+          }
+        });
     side->dists.reserve(entries.size());
     for (size_t i = 0; i < entries.size(); ++i) {
       side->dists.emplace(*entries[i].first, std::move(dists[i]));
     }
     PRODSYN_DCHECK_EQ(side->dists.size(), side->bags.size());
-  }
-  if (metrics != nullptr && pool.has_value()) {
-    metrics->RecordQueueDepth(pool->max_queue_depth());
   }
 
   // --- Candidates: schema attrs × observed offer attrs per (M, C).

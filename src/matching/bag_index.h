@@ -36,7 +36,6 @@
 #include "src/util/interner.h"
 #include "src/util/result.h"
 #include "src/util/stage_metrics.h"
-#include "src/util/thread_pool.h"
 
 namespace prodsyn {
 
@@ -50,11 +49,6 @@ struct BagIndexOptions {
   /// default. Output is bit-identical for any value (sequential merge in
   /// sorted group order).
   size_t build_threads = 1;
-  /// Chunked-scheduling knobs for the build shards. (Merchant, category)
-  /// groups inherit the Zipf skew of the offer distribution, so the
-  /// default claims groups dynamically; grain 1 because each item is a
-  /// whole group. Never affects output.
-  ParallelForOptions parallel{/*min_grain=*/1, ParallelChunking::kDynamic};
 };
 
 /// \brief Immutable bag/distribution index over one MatchingContext.
@@ -62,8 +56,8 @@ class MatchedBagIndex {
  public:
   /// \brief Builds the index; tokenizes each offer value and each matched
   /// product spec once, then derives the three grouping levels by merging.
-  /// `metrics`, when non-null, receives the build's wall/CPU time, the
-  /// number of offers scanned (items), and the pool's queue high-water.
+  /// `metrics`, when non-null, receives the build's wall/CPU time and the
+  /// number of offers scanned (items).
   static Result<MatchedBagIndex> Build(const MatchingContext& ctx,
                                        const BagIndexOptions& options = {},
                                        StageCounters* metrics = nullptr);

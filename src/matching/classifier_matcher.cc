@@ -15,6 +15,14 @@
 
 namespace prodsyn {
 
+namespace {
+// ParallelFor grain of the candidate-scoring sweep. Each chunk builds a
+// private FeatureComputer whose memo caches warm up from scratch, so
+// chunks stay large enough to amortize that fixed cost; dynamic claiming
+// absorbs the cost skew between categories.
+constexpr size_t kScoreGrain = 512;
+}  // namespace
+
 ClassifierMatcher::ClassifierMatcher(ClassifierMatcherOptions options)
     : options_(std::move(options)) {}
 
@@ -64,12 +72,9 @@ Result<std::vector<AttributeCorrespondence>> ClassifierMatcher::Generate(
   // are a subset of the candidates, so the candidate clamp never
   // under-provisions training.
   const auto& candidates = index.candidates();
-  size_t threads = options_.offline_threads == 0
-                       ? ThreadPool::HardwareThreads()
-                       : options_.offline_threads;
-  threads = std::min(threads, std::max<size_t>(1, candidates.size()));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+  const std::unique_ptr<ThreadPool> pool =
+      ThreadPool::ForItems(options_.offline_threads, candidates.size());
+  const size_t threads = pool != nullptr ? pool->thread_count() : 1;
   registry.SetGauge("offline.threads", static_cast<int64_t>(threads));
   registry.SetGauge("offline.candidates",
                     static_cast<int64_t>(candidates.size()));
@@ -163,14 +168,8 @@ Result<std::vector<AttributeCorrespondence>> ClassifierMatcher::Generate(
     predicted_valid.fetch_add(valid, std::memory_order_relaxed);
   };
 
-  if (pool == nullptr) {
-    score_range(0, candidates.size());
-  } else {
-    ParallelForOptions score_options = options_.parallel;
-    score_options.label = "classifier.score";
-    pool->ParallelFor(candidates.size(), score_range, score_options, token);
-    score_stage->RecordQueueDepth(pool->max_queue_depth());
-  }
+  ThreadPool::ParallelFor(pool.get(), "classifier.score", candidates.size(),
+                          kScoreGrain, score_range, token);
   score_stage->AddItems(candidates.size());
   if (cancelled()) {
     // Unlike Synthesize (which salvages a partial result), offline

@@ -48,12 +48,6 @@ struct ClassifierMatcherOptions {
   /// regardless of thread count. 0 = hardware default, mirroring
   /// SynthesizerOptions::runtime_threads.
   size_t offline_threads = 1;
-  /// Chunked-scheduling knobs for the candidate-scoring sweep. Each chunk
-  /// instantiates a private FeatureComputer whose memo caches must warm
-  /// up from scratch, so the default grain keeps chunks large enough to
-  /// amortize that fixed cost; dynamic claiming absorbs the cost skew
-  /// between categories. Never affects output.
-  ParallelForOptions parallel{/*min_grain=*/512, ParallelChunking::kDynamic};
   /// Optional cancellation of the offline phase: checked at every stage
   /// boundary (bag build, training-set construction, LR training,
   /// candidate scoring) and per scoring chunk; Generate returns
@@ -69,15 +63,15 @@ struct ClassifierRunStats {
   size_t training_positives = 0;
   size_t predicted_valid = 0;  ///< score > 0.5, excluding forced identities
   size_t lr_iterations = 0;
-  /// Wall/CPU time, items and queue-depth gauges of the offline stages,
+  /// Wall/CPU time, items and latency histograms of the offline stages,
   /// in execution order (bag_index.build, lr.train, lr.epoch,
   /// classifier.score; lr.epoch's latency histogram holds one observation
   /// per training epoch). NOT deterministic — observability only, like
   /// SynthesisStats::stage_metrics. Same data as `registry.stages`.
   std::vector<StageSnapshot> stage_metrics;
   /// Full telemetry of the offline run (stage counters + latency
-  /// histograms + gauges), renderable via MetricsRegistry::RenderJson /
-  /// RenderPrometheus. NOT deterministic.
+  /// histograms + gauges), renderable via MetricsRegistry::RenderJson.
+  /// NOT deterministic.
   RegistrySnapshot registry;
 };
 

@@ -1,7 +1,7 @@
 #include "src/matching/title_matcher.h"
 
 #include <map>
-#include <optional>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -17,6 +17,10 @@
 namespace prodsyn {
 
 namespace {
+
+// ParallelFor grain of the per-category shards: categories differ wildly
+// in offer and product count, so workers claim them one at a time.
+constexpr size_t kCategoryGrain = 1;
 
 // Attributes whose values act as identifiers worth indexing.
 bool IsIdentifierAttribute(const CategorySchema& schema,
@@ -175,32 +179,19 @@ Result<MatchStore> TitleOfferProductMatcher::Match(
     }
   };
 
-  const size_t threads = options_.threads == 0 ? ThreadPool::HardwareThreads()
-                                               : options_.threads;
   // The pool (when one runs) outlives the sequential merge below so its
   // scheduler snapshot can attribute the merge wall to the region.
-  std::optional<ThreadPool> pool;
-  if (threads <= 1 || categories.size() <= 1) {
-    ScopedStageTimer timer(stage);
-    for (size_t slot = 0; slot < categories.size(); ++slot) {
-      process_category(slot);
-    }
-  } else {
-    pool.emplace(threads);
-    ParallelForOptions match_options = options_.parallel;
-    match_options.label = "title_match";
-    // process_category writes only its slot of the per-category
-    // results; the inputs are read-only. // lint: sharded
-    pool->ParallelFor(
-        categories.size(),
-        [&](size_t begin, size_t end) {
-          ScopedStageTimer timer(stage);
-          for (size_t slot = begin; slot < end; ++slot) process_category(slot);
-        },
-        match_options);
-    stage->RecordQueueDepth(pool->max_queue_depth());
-  }
-  ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
+  const std::unique_ptr<ThreadPool> pool =
+      ThreadPool::ForItems(options_.threads, categories.size());
+  ThreadPool* const pool_ptr = pool.get();
+  // process_category writes only its slot of the per-category results;
+  // the inputs are read-only. // lint: sharded
+  ThreadPool::ParallelFor(
+      pool_ptr, "title_match", categories.size(), kCategoryGrain,
+      [&](size_t begin, size_t end) {
+        ScopedStageTimer timer(stage);
+        for (size_t slot = begin; slot < end; ++slot) process_category(slot);
+      });
 
   // Sequential merge in sorted category order, offers in input order —
   // the exact order the sequential implementation produced.

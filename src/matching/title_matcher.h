@@ -21,7 +21,6 @@
 #include "src/util/metrics_registry.h"
 #include "src/util/result.h"
 #include "src/util/stage_metrics.h"
-#include "src/util/thread_pool.h"
 
 namespace prodsyn {
 
@@ -39,10 +38,6 @@ struct TitleMatcherOptions {
   /// sequentially in category order, so the MatchStore and the counter
   /// stats are bit-identical for any value.
   size_t threads = 1;
-  /// Chunked-scheduling knobs for the per-category shards. Categories
-  /// differ wildly in offer and product count, so the default claims them
-  /// one at a time (dynamic, grain 1). Never affects output.
-  ParallelForOptions parallel{/*min_grain=*/1, ParallelChunking::kDynamic};
 };
 
 /// \brief Statistics of one Match() run. The counters are deterministic
@@ -52,12 +47,12 @@ struct TitleMatcherStats {
   size_t offers_considered = 0;
   size_t offers_with_candidates = 0;
   size_t matches_made = 0;
-  /// Wall/CPU/queue-depth snapshot of the "title_match.bootstrap" stage.
+  /// Wall/CPU/latency snapshot of the "title_match.bootstrap" stage.
   /// Same data as `registry.stages`.
   std::vector<StageSnapshot> stage_metrics;
   /// Full telemetry of the run (stage counters + latency histograms +
-  /// gauges), renderable via MetricsRegistry::RenderJson /
-  /// RenderPrometheus. NOT deterministic.
+  /// gauges), renderable via MetricsRegistry::RenderJson. NOT
+  /// deterministic.
   RegistrySnapshot registry;
 };
 

@@ -48,13 +48,10 @@ struct LogisticRegressionOptions {
   size_t threads = 1;
   /// Rows per numeric block. Block boundaries — and therefore the
   /// floating-point reduce order — depend ONLY on this and the row count,
-  /// so changing `threads` or `parallel` never changes the trained
-  /// weights. Changing `block_rows` itself is a (documented) numeric
-  /// change, like changing the learning rate.
+  /// so changing `threads` never changes the trained weights. Changing
+  /// `block_rows` itself is a (documented) numeric change, like changing
+  /// the learning rate.
   size_t block_rows = 256;
-  /// Scheduling-only knobs for the per-epoch ParallelFor over blocks.
-  /// Never affects output.
-  ParallelForOptions parallel{/*min_grain=*/1, ParallelChunking::kStatic};
 };
 
 /// \brief Trained binary logistic model.

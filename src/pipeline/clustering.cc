@@ -11,6 +11,11 @@ namespace prodsyn {
 
 namespace {
 
+// ParallelFor grain of the key scan. Key extraction is uniform
+// sub-microsecond work per offer, so chunks stay large: the floor keeps
+// tiny batches inline, where chunk overhead would exceed the scan.
+constexpr size_t kKeyScanGrain = 256;
+
 // First key-attribute value present in the spec, normalized; empty if none.
 std::string ExtractKey(const Specification& spec,
                        const std::vector<std::string>& key_attributes) {
@@ -84,18 +89,8 @@ Result<std::vector<OfferCluster>> ClusterByKey(
       keys[i] = std::move(key);
     }
   };
-  if (pool != nullptr && pool->thread_count() > 1) {
-    ParallelForOptions scan_options = options.parallel;
-    if (scan_options.label == nullptr) {
-      scan_options.label = "clustering.key_scan";
-    }
-    pool->ParallelFor(offers.size(), extract_range, scan_options, token);
-    if (metrics != nullptr) {
-      metrics->RecordQueueDepth(pool->max_queue_depth());
-    }
-  } else {
-    extract_range(0, offers.size());
-  }
+  ThreadPool::ParallelFor(pool, "clustering.key_scan", offers.size(),
+                          kKeyScanGrain, extract_range, token);
 
   // Sequential deterministic merge in input order; its wall feeds the
   // key-scan region's Amdahl serial fraction.

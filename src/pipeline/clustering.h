@@ -48,11 +48,6 @@ struct ClusteringOptions {
   /// can never collide with identifier keys.
   bool composite_key_fallback = false;
   std::vector<std::string> composite_key_attributes = {"Brand", "Model"};
-  /// Chunked-scheduling knobs for the parallel key scan. Key extraction
-  /// is uniform sub-microsecond work per offer, so the default uses large
-  /// static chunks — the grain floor keeps tiny batches inline where the
-  /// chunk overhead would exceed the scan. Never affects output.
-  ParallelForOptions parallel{/*min_grain=*/256, ParallelChunking::kStatic};
 };
 
 /// \brief The normalized composite key of a spec under `attributes`, or

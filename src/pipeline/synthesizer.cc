@@ -1,7 +1,7 @@
 #include "src/pipeline/synthesizer.h"
 
 #include <algorithm>
-#include <optional>
+#include <memory>
 #include <set>
 #include <unordered_map>
 
@@ -15,6 +15,14 @@
 #include "src/util/trace.h"
 
 namespace prodsyn {
+
+namespace {
+// ParallelFor grains of the run-time phase (items per chunk floor).
+// Per-offer cost is skewed — landing-page size varies — and so is
+// per-cluster fusion cost, so both claim modest chunks dynamically.
+constexpr size_t kOfferChainGrain = 8;
+constexpr size_t kFusionGrain = 8;
+}  // namespace
 
 ProductSynthesizer::ProductSynthesizer(const Catalog* catalog,
                                        SynthesizerOptions options)
@@ -172,17 +180,15 @@ Result<SynthesisResult> ProductSynthesizer::Synthesize(
   StageCounters* fusion_stage = registry.GetStage("fusion");
 
   const auto& offers = incoming.offers();
-  size_t threads = options_.runtime_threads;
-  if (threads == 0) threads = ThreadPool::HardwareThreads();
-  threads = std::min(threads, std::max<size_t>(1, offers.size()));
-  registry.SetGauge("runtime.threads", static_cast<int64_t>(threads));
-  registry.SetGauge("runtime.input_offers",
-                    static_cast<int64_t>(offers.size()));
   // One pool for the whole run-time phase; absent when a single thread
   // suffices, in which case every stage runs inline on the caller.
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
-  ThreadPool* pool_ptr = pool.has_value() ? &*pool : nullptr;
+  const std::unique_ptr<ThreadPool> pool =
+      ThreadPool::ForItems(options_.runtime_threads, offers.size());
+  ThreadPool* const pool_ptr = pool.get();
+  registry.SetGauge("runtime.threads",
+                    static_cast<int64_t>(pool ? pool->thread_count() : 1));
+  registry.SetGauge("runtime.input_offers",
+                    static_cast<int64_t>(offers.size()));
 
   const bool have_classifier = title_classifier_.category_count() > 0;
 
@@ -318,15 +324,8 @@ Result<SynthesisResult> ProductSynthesizer::Synthesize(
       slot.processed = true;
     }
   };
-  if (pool_ptr != nullptr) {
-    ParallelForOptions offer_options = options_.parallel;
-    offer_options.label = "runtime.offer_chain";
-    pool_ptr->ParallelFor(offers.size(), process_range, offer_options,
-                          token);
-    extraction_stage->RecordQueueDepth(pool_ptr->max_queue_depth());
-  } else {
-    process_range(0, offers.size());
-  }
+  ThreadPool::ParallelFor(pool_ptr, "runtime.offer_chain", offers.size(),
+                          kOfferChainGrain, process_range, token);
 
   // Common tail of every exit path (complete, truncated, quarantined):
   // final gauges, registry snapshot, provenance/ledger handover.
@@ -508,15 +507,8 @@ Result<SynthesisResult> ProductSynthesizer::Synthesize(
       slot.spec = std::move(*spec);
     }
   };
-  if (pool_ptr != nullptr) {
-    ParallelForOptions fusion_options = options_.parallel;
-    fusion_options.label = "runtime.fusion";
-    pool_ptr->ParallelFor(clusters.size(), fuse_range, fusion_options,
-                          token);
-    fusion_stage->RecordQueueDepth(pool_ptr->max_queue_depth());
-  } else {
-    fuse_range(0, clusters.size());
-  }
+  ThreadPool::ParallelFor(pool_ptr, "runtime.fusion", clusters.size(),
+                          kFusionGrain, fuse_range, token);
   ScopedMergeTimer fusion_merge_timer(pool_ptr, "runtime.fusion");
   for (size_t i = 0; i < clusters.size(); ++i) {
     FusedCluster& slot = fused[i];

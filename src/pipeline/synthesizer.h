@@ -65,7 +65,7 @@ struct SynthesisStats {
   /// deadline. NOT part of the determinism contract (cancellation timing
   /// is wall-clock-dependent); always 0 on complete runs.
   size_t cancelled_offers = 0;
-  /// Per-stage wall/CPU time, item counts and queue-depth gauges of the
+  /// Per-stage wall/CPU time, item counts and latency histograms of the
   /// run-time phase, in pipeline order (classification, extraction,
   /// reconciliation, clustering, fusion). NOT deterministic — see
   /// StageSnapshot. Same data as `registry.stages`, kept as a separate
@@ -73,7 +73,7 @@ struct SynthesisStats {
   std::vector<StageSnapshot> stage_metrics;
   /// Full telemetry of the run-time phase — the stage counters above
   /// plus per-stage latency histograms and run gauges — renderable via
-  /// MetricsRegistry::RenderJson / RenderPrometheus. NOT deterministic.
+  /// MetricsRegistry::RenderJson. NOT deterministic.
   RegistrySnapshot registry;
 };
 
@@ -134,12 +134,6 @@ struct SynthesizerOptions {
   /// merges are sequential in a deterministic order, so correspondences
   /// and learning stats are bit-identical for any value.
   size_t offline_threads = 0;
-  /// Chunked-scheduling knobs for the run-time phase's ParallelFor calls
-  /// (the per-offer stage chain and per-cluster fusion). Per-offer cost
-  /// is skewed — landing-page size and cluster size both vary — so the
-  /// default claims modest chunks dynamically. Clustering's key scan has
-  /// its own knob (ClusteringOptions::parallel). Never affects output.
-  ParallelForOptions parallel{/*min_grain=*/8, ParallelChunking::kDynamic};
   /// What to do when an offer's stage chain fails (see ErrorPolicy).
   /// kQuarantine diverts failing offers to SynthesisResult::ledger and
   /// keeps going; on clean input the output is bit-identical to

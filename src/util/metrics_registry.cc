@@ -9,38 +9,6 @@ namespace prodsyn {
 
 namespace {
 
-// Prometheus metric-name charset: [a-zA-Z_:][a-zA-Z0-9_:]*. Dots and
-// every other foreign character become underscores.
-std::string PromName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size());
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out.push_back(ok ? c : '_');
-  }
-  if (out.empty() || (out[0] >= '0' && out[0] <= '9')) out = "_" + out;
-  return out;
-}
-
-// Prometheus label-value escaping: backslash, quote, newline.
-std::string PromLabel(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 void AppendF(std::string* out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 void AppendF(std::string* out, const char* fmt, ...) {
@@ -76,37 +44,6 @@ void AppendHistogramBodyJson(std::string* out, const HistogramSnapshot& h) {
             static_cast<unsigned long long>(h.buckets[i]));
   }
   *out += "]}";
-}
-
-// One Prometheus histogram family instance under `base` with the given
-// label (empty = no label). ns-unit histograms are exposed in seconds,
-// per Prometheus convention; other units verbatim.
-void AppendPromHistogram(std::string* out, const std::string& base,
-                         const std::string& label,
-                         const HistogramSnapshot& h) {
-  const bool ns = h.unit == "ns";
-  const double scale = ns ? 1e-9 : 1.0;
-  const std::string sel = label.empty() ? "" : "{" + label + "}";
-  const std::string sel_open =
-      label.empty() ? "{le=\"" : "{" + label + ",le=\"";
-  uint64_t cumulative = 0;
-  size_t last_nonzero = 0;
-  for (size_t i = 0; i < HistogramSnapshot::kBucketCount; ++i) {
-    if (h.buckets[i] != 0) last_nonzero = i;
-  }
-  for (size_t i = 0; i <= last_nonzero; ++i) {
-    if (h.buckets[i] == 0) continue;
-    cumulative += h.buckets[i];
-    AppendF(out, "%s_bucket%s%.9g\"} %llu\n", base.c_str(), sel_open.c_str(),
-            static_cast<double>(LogHistogram::BucketUpperBound(i)) * scale,
-            static_cast<unsigned long long>(cumulative));
-  }
-  AppendF(out, "%s_bucket%s+Inf\"} %llu\n", base.c_str(), sel_open.c_str(),
-          static_cast<unsigned long long>(h.count));
-  AppendF(out, "%s_sum%s %.9g\n", base.c_str(), sel.c_str(),
-          static_cast<double>(h.sum) * scale);
-  AppendF(out, "%s_count%s %llu\n", base.c_str(), sel.c_str(),
-          static_cast<unsigned long long>(h.count));
 }
 
 }  // namespace
@@ -168,10 +105,9 @@ std::string MetricsRegistry::RenderJson(const RegistrySnapshot& snapshot) {
     const StageSnapshot& s = snapshot.stages[i];
     AppendF(&json,
             "    {\"name\": \"%s\", \"wall_ms\": %.3f, \"cpu_ms\": %.3f, "
-            "\"items\": %llu, \"max_queue_depth\": %llu,\n     \"latency\": ",
+            "\"items\": %llu,\n     \"latency\": ",
             JsonEscape(s.name).c_str(), s.wall_ns / 1e6, s.cpu_ns / 1e6,
-            static_cast<unsigned long long>(s.items),
-            static_cast<unsigned long long>(s.max_queue_depth));
+            static_cast<unsigned long long>(s.items));
     AppendHistogramBodyJson(&json, s.latency);
     json += "}";
     json += (i + 1 == snapshot.stages.size()) ? "\n" : ",\n";
@@ -194,62 +130,6 @@ std::string MetricsRegistry::RenderJson(const RegistrySnapshot& snapshot) {
   }
   json += "  ]\n}\n";
   return json;
-}
-
-std::string MetricsRegistry::RenderPrometheus(
-    const RegistrySnapshot& snapshot) {
-  std::string out;
-  if (!snapshot.stages.empty()) {
-    out += "# TYPE prodsyn_stage_wall_seconds counter\n";
-    for (const auto& s : snapshot.stages) {
-      AppendF(&out, "prodsyn_stage_wall_seconds{stage=\"%s\"} %.9g\n",
-              PromLabel(s.name).c_str(), s.wall_ns * 1e-9);
-    }
-    out += "# TYPE prodsyn_stage_cpu_seconds counter\n";
-    for (const auto& s : snapshot.stages) {
-      AppendF(&out, "prodsyn_stage_cpu_seconds{stage=\"%s\"} %.9g\n",
-              PromLabel(s.name).c_str(), s.cpu_ns * 1e-9);
-    }
-    out += "# TYPE prodsyn_stage_items_total counter\n";
-    for (const auto& s : snapshot.stages) {
-      AppendF(&out, "prodsyn_stage_items_total{stage=\"%s\"} %llu\n",
-              PromLabel(s.name).c_str(),
-              static_cast<unsigned long long>(s.items));
-    }
-    out += "# TYPE prodsyn_stage_max_queue_depth gauge\n";
-    for (const auto& s : snapshot.stages) {
-      AppendF(&out, "prodsyn_stage_max_queue_depth{stage=\"%s\"} %llu\n",
-              PromLabel(s.name).c_str(),
-              static_cast<unsigned long long>(s.max_queue_depth));
-    }
-    out += "# TYPE prodsyn_stage_latency_seconds histogram\n";
-    for (const auto& s : snapshot.stages) {
-      std::string label = "stage=\"";
-      label += PromLabel(s.name);
-      label += "\"";
-      AppendPromHistogram(&out, "prodsyn_stage_latency_seconds", label,
-                          s.latency);
-    }
-  }
-  for (const auto& h : snapshot.histograms) {
-    std::string base = "prodsyn_";
-    base += PromName(h.name);
-    if (h.unit == "ns") {
-      base += "_seconds";
-    } else if (!h.unit.empty()) {
-      base += "_";
-      base += PromName(h.unit);
-    }
-    AppendF(&out, "# TYPE %s histogram\n", base.c_str());
-    AppendPromHistogram(&out, base, "", h);
-  }
-  for (const auto& g : snapshot.gauges) {
-    std::string name = "prodsyn_";
-    name += PromName(g.name);
-    AppendF(&out, "# TYPE %s gauge\n%s %lld\n", name.c_str(), name.c_str(),
-            static_cast<long long>(g.value));
-  }
-  return out;
 }
 
 }  // namespace prodsyn

@@ -1,9 +1,7 @@
 // Unified telemetry registry: one place that owns the per-stage counters
 // (StageCounters), standalone log2 histograms, and integer gauges of a
-// pipeline run, and renders them in two machine-readable exposition
-// formats — a JSON document (the bench artifacts and tools/
-// trace_summary.py consume this) and Prometheus text exposition (for a
-// scrape endpoint in a serving deployment).
+// pipeline run, and renders them as one machine-readable JSON document
+// (the bench artifacts and tools/trace_summary.py consume it).
 //
 // Everything the registry records is observability-only: readings vary
 // run to run and sit outside the pipeline's determinism contract.
@@ -82,10 +80,6 @@ class MetricsRegistry {
   /// "gauges": [...]} with per-stage latency quantiles — see
   /// docs/OBSERVABILITY.md for the schema.
   static std::string RenderJson(const RegistrySnapshot& snapshot);
-
-  /// \brief Prometheus text exposition (stage counters, latency
-  /// histograms with cumulative `le` buckets, gauges).
-  static std::string RenderPrometheus(const RegistrySnapshot& snapshot);
 
  private:
   struct NamedHistogram {

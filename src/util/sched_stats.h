@@ -114,8 +114,8 @@ struct PoolSchedSnapshot {
 /// "permille"), and per-label `region.<label>.*` gauges plus
 /// `stage.serial_fraction.<label>`. Also sets `trace.dropped_spans` from
 /// the global tracer so truncated traces are visible next to the
-/// scheduler numbers. Rendered by both RenderJson and RenderPrometheus —
-/// see docs/OBSERVABILITY.md for the full name list.
+/// scheduler numbers. Rendered by RenderJson — see docs/OBSERVABILITY.md
+/// for the full name list.
 void PublishSchedStats(const PoolSchedSnapshot& snapshot,
                        MetricsRegistry* registry);
 

@@ -17,21 +17,12 @@ uint64_t ThreadCpuNanos() {
 #endif
 }
 
-void StageCounters::RecordQueueDepth(uint64_t depth) {
-  uint64_t current = max_queue_depth_.load(std::memory_order_relaxed);
-  while (depth > current &&
-         !max_queue_depth_.compare_exchange_weak(
-             current, depth, std::memory_order_relaxed)) {
-  }
-}
-
 StageSnapshot StageCounters::snapshot() const {
   StageSnapshot snap;
   snap.name = name_;
   snap.wall_ns = wall_ns_.load(std::memory_order_relaxed);
   snap.cpu_ns = cpu_ns_.load(std::memory_order_relaxed);
   snap.items = items_.load(std::memory_order_relaxed);
-  snap.max_queue_depth = max_queue_depth_.load(std::memory_order_relaxed);
   snap.latency = latency_ns_.snapshot();
   snap.latency.name = name_;
   snap.latency.unit = "ns";

@@ -1,5 +1,5 @@
 // Lightweight per-stage observability for the run-time pipeline: wall and
-// CPU timers, item counters, and queue-depth gauges, aggregated across
+// CPU timers, item counters, and latency histograms, aggregated across
 // worker threads with relaxed atomics (each counter is independent; only
 // the final Snapshot needs a consistent view, taken after the workers
 // join). The counters feed SynthesisStats::stage_metrics and the
@@ -40,9 +40,6 @@ struct StageSnapshot {
   uint64_t cpu_ns = 0;
   /// Items processed (offers, pairs, clusters — stage-defined).
   uint64_t items = 0;
-  /// High-water mark of the work queue feeding the stage (0 when the
-  /// stage ran inline without a pool).
-  uint64_t max_queue_depth = 0;
   /// Distribution of per-timed-scope wall nanoseconds (one observation
   /// per ScopedStageTimer / RecordLatencyNanos). `name` is the stage
   /// name, `unit` is "ns". Like the timing totals, the observed values
@@ -77,9 +74,6 @@ class StageCounters {
     cpu_ns_.fetch_add(ns, std::memory_order_relaxed);
   }
 
-  /// \brief Raises the queue-depth high-water mark to at least `depth`.
-  void RecordQueueDepth(uint64_t depth);
-
   /// \brief Adds one latency observation (wall nanoseconds of one timed
   /// scope) to the stage's log2-bucketed histogram. ScopedStageTimer
   /// calls this automatically alongside AddWallNanos.
@@ -100,7 +94,6 @@ class StageCounters {
   std::atomic<uint64_t> wall_ns_{0};
   std::atomic<uint64_t> cpu_ns_{0};
   std::atomic<uint64_t> items_{0};
-  std::atomic<uint64_t> max_queue_depth_{0};
   LogHistogram latency_ns_;
 };
 

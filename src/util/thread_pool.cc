@@ -12,11 +12,12 @@
 namespace prodsyn {
 
 namespace {
-// kDynamic targets this many chunks per worker before the min_grain floor
-// kicks in: enough slack that one heavy chunk leaves ~7 lighter ones for
-// the other workers to absorb, few enough that per-chunk claim overhead
-// (one relaxed fetch_add) stays invisible next to the body.
-constexpr size_t kDynamicChunksPerThread = 8;
+// PlanChunks targets this many chunks per worker before the call site's
+// grain floor kicks in: enough slack that one heavy chunk leaves ~7
+// lighter ones for the other workers to absorb, few enough that
+// per-chunk claim overhead (one relaxed fetch_add) stays invisible next
+// to the body.
+constexpr size_t kChunksPerThread = 8;
 
 // The sanctioned raw-clock read for scheduler accounting — lint rule R5
 // bans steady_clock::now() in accounting paths precisely so every read
@@ -88,6 +89,14 @@ size_t ThreadPool::HardwareThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
+std::unique_ptr<ThreadPool> ThreadPool::ForItems(size_t threads,
+                                                 size_t items) {
+  if (threads == 0) threads = HardwareThreads();
+  threads = std::min(threads, items);
+  if (threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(threads);
+}
+
 ThreadPool::ThreadPool(size_t threads)
     : stats_enabled_(SchedulerStats::enabled()) {
   if (threads == 0) threads = HardwareThreads();
@@ -115,26 +124,8 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     MutexLock lock(&mu_);
     queue_.push_back(QueuedTask{std::move(task), enqueue_ns});
-    max_queue_depth_ = std::max(max_queue_depth_, queue_.size());
   }
   work_cv_.NotifyOne();
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(&mu_);
-  // Predicate loop over guarded state: CondVar::Wait re-acquires mu_
-  // before returning, so DrainedLocked always runs under the capability.
-  while (!DrainedLocked()) idle_cv_.Wait(lock);
-}
-
-size_t ThreadPool::queue_depth() const {
-  MutexLock lock(&mu_);
-  return queue_.size();
-}
-
-size_t ThreadPool::max_queue_depth() const {
-  MutexLock lock(&mu_);
-  return max_queue_depth_;
 }
 
 void ThreadPool::WorkerLoop(size_t worker_index) {
@@ -148,8 +139,7 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       const uint64_t park_start = slot != nullptr ? NowNanos() : 0;
       MutexLock lock(&mu_);
       while (IdleLocked()) work_cv_.Wait(lock);
-      // Shutdown drains the queue: only exit once no task is left.
-      if (queue_.empty()) {
+      if (queue_.empty()) {  // shutdown
         if (slot != nullptr) {
           slot->idle_ns.fetch_add(NowNanos() - park_start,
                                   std::memory_order_relaxed);
@@ -158,7 +148,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
       if (slot != nullptr) {
         const uint64_t now = NowNanos();
         slot->idle_ns.fetch_add(now - park_start, std::memory_order_relaxed);
@@ -178,16 +167,10 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
                               std::memory_order_relaxed);
       slot->tasks.fetch_add(1, std::memory_order_relaxed);
     }
-    {
-      MutexLock lock(&mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.NotifyAll();
-    }
   }
 }
 
-ChunkPlan ThreadPool::PlanChunks(size_t n, size_t threads,
-                                 const ParallelForOptions& options) {
+ChunkPlan ThreadPool::PlanChunks(size_t n, size_t threads, size_t grain) {
   ChunkPlan plan;
   if (n == 0) return plan;
   if (threads <= 1) {
@@ -195,39 +178,20 @@ ChunkPlan ThreadPool::PlanChunks(size_t n, size_t threads,
     plan.chunks = 1;
     return plan;  // tasks == 0: inline on the caller
   }
-  const size_t min_grain = std::max<size_t>(1, options.min_grain);
-  size_t target = options.chunking == ParallelChunking::kStatic
-                      ? threads
-                      : threads * kDynamicChunksPerThread;
-  target = std::min(target, n);
-  plan.grain = std::max(min_grain, (n + target - 1) / target);
+  const size_t target = std::min(threads * kChunksPerThread, n);
+  plan.grain = std::max({grain, size_t{1}, (n + target - 1) / target});
   plan.chunks = (n + plan.grain - 1) / plan.grain;
   if (plan.chunks <= 1) return plan;  // tasks == 0: inline on the caller
-  // kStatic: one task per chunk (chunks <= threads by construction).
-  // kDynamic: one claim loop per worker that could possibly get a chunk.
-  plan.tasks = options.chunking == ParallelChunking::kStatic
-                   ? plan.chunks
-                   : std::min(threads, plan.chunks);
+  // One claim loop per worker that could possibly get a chunk.
+  plan.tasks = std::min(threads, plan.chunks);
   return plan;
 }
 
-void ThreadPool::ParallelFor(
-    size_t n, const std::function<void(size_t begin, size_t end)>& body) {
-  ParallelFor(n, body, ParallelForOptions{}, nullptr);
-}
-
-void ThreadPool::ParallelFor(
-    size_t n, const std::function<void(size_t begin, size_t end)>& body,
-    const CancellationToken* token) {
-  ParallelFor(n, body, ParallelForOptions{}, token);
-}
-
-void ThreadPool::ParallelFor(
-    size_t n, const std::function<void(size_t begin, size_t end)>& body,
-    const ParallelForOptions& options, const CancellationToken* token) {
-  if (n == 0) return;
+void ThreadPool::Run(const char* label, size_t n, size_t grain,
+                     const std::function<void(size_t begin, size_t end)>& body,
+                     const CancellationToken* token) {
   if (token != nullptr && token->cancelled()) return;
-  const ChunkPlan plan = PlanChunks(n, thread_count(), options);
+  const ChunkPlan plan = PlanChunks(n, thread_count(), grain);
   // Frame-local accounting: accum is null when accounting is off, so the
   // disabled fast path costs one non-atomic bool test per invocation and
   // a null test per chunk — nothing else.
@@ -236,52 +200,21 @@ void ThreadPool::ParallelFor(
   const uint64_t region_start = acc != nullptr ? NowNanos() : 0;
   if (plan.tasks == 0) {
     RunChunk(body, 0, n, acc);
-    if (acc != nullptr) {
-      FoldRegion(options.label,
-                 accum.executed_chunks.load(std::memory_order_relaxed),
-                 NowNanos() - region_start,
-                 accum.chunk_sum_ns.load(std::memory_order_relaxed),
-                 accum.chunk_min_ns.load(std::memory_order_relaxed),
-                 accum.chunk_max_ns.load(std::memory_order_relaxed),
-                 /*claim_attempts=*/1);
-    }
-    return;
-  }
-  // Private latch so ParallelFor stays correct even while unrelated tasks
-  // are in flight on the same pool.
-  Mutex done_mu;
-  CondVar done_cv;
-  size_t remaining = 0;
-  // §atomics exemption (docs/STATIC_ANALYSIS.md): the kDynamic claim
-  // cursor is a monotone ticket counter — fetch_add hands each chunk
-  // index to exactly one claim loop, so relaxed order suffices; the data
-  // the chunks touch is ordered by the queue mutex (Submit/pop) on the
-  // way in and by the latch mutex on the way out. Lives on this frame:
-  // the latch wait below outlives every task that references it.
-  std::atomic<size_t> next_chunk{0};
-  for (size_t t = 0; t < plan.tasks; ++t) {
-    {
-      MutexLock lock(&done_mu);
-      ++remaining;
-    }
-    if (options.chunking == ParallelChunking::kStatic) {
-      const size_t begin = t * plan.grain;
-      const size_t end = std::min(n, begin + plan.grain);
-      // By-ref captures: `remaining` only mutates under done_mu (the
-      // latch); `body` writes per-index state by the ParallelFor contract.
-      // lint: sharded
-      Submit([&body, &done_mu, &done_cv, &remaining, begin, end, token,
-              acc] {
-        // Cooperative cancellation: a chunk that has not started when the
-        // token fires is skipped wholesale; the latch still completes so
-        // the caller never hangs.
-        if (token == nullptr || !token->cancelled()) {
-          RunChunk(body, begin, end, acc);
-        }
-        MutexLock lock(&done_mu);
-        if (--remaining == 0) done_cv.NotifyAll();
-      });
-    } else {
+  } else {
+    // Private latch so concurrent ParallelFor calls on the same pool
+    // never wait on each other's tasks. `remaining` is set before any
+    // task exists and only mutates under done_mu afterwards.
+    Mutex done_mu;
+    CondVar done_cv;
+    size_t remaining = plan.tasks;
+    // §atomics exemption (docs/STATIC_ANALYSIS.md): the claim cursor is
+    // a monotone ticket counter — fetch_add hands each chunk index to
+    // exactly one claim loop, so relaxed order suffices; the data the
+    // chunks touch is ordered by the queue mutex (Submit/pop) on the way
+    // in and by the latch mutex on the way out. Lives on this frame: the
+    // latch wait below outlives every task that references it.
+    std::atomic<size_t> next_chunk{0};
+    for (size_t t = 0; t < plan.tasks; ++t) {
       // Claim loop: race on next_chunk for the next unstarted chunk until
       // the range is exhausted or the token fires. Which loop executes
       // which chunk is timing-dependent; slot contents are not (the
@@ -304,22 +237,19 @@ void ThreadPool::ParallelFor(
         if (--remaining == 0) done_cv.NotifyAll();
       });
     }
-  }
-  {
     MutexLock lock(&done_mu);
     while (remaining != 0) done_cv.Wait(lock);
   }
   if (acc != nullptr) {
-    const uint64_t executed =
-        accum.executed_chunks.load(std::memory_order_relaxed);
-    uint64_t claims = accum.claim_attempts.load(std::memory_order_relaxed);
-    // kStatic has no claim cursor: each executed chunk was one direct
-    // hand-off, so claims == executed by definition.
-    if (options.chunking == ParallelChunking::kStatic) claims = executed;
-    FoldRegion(options.label, executed, NowNanos() - region_start,
+    FoldRegion(label, accum.executed_chunks.load(std::memory_order_relaxed),
+               NowNanos() - region_start,
                accum.chunk_sum_ns.load(std::memory_order_relaxed),
                accum.chunk_min_ns.load(std::memory_order_relaxed),
-               accum.chunk_max_ns.load(std::memory_order_relaxed), claims);
+               accum.chunk_max_ns.load(std::memory_order_relaxed),
+               // The inline chunk is one direct hand-off, not a claim.
+               plan.tasks == 0
+                   ? 1
+                   : accum.claim_attempts.load(std::memory_order_relaxed));
   }
 }
 

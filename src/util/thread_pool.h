@@ -1,9 +1,12 @@
-// Fixed-size thread pool with a single shared FIFO queue and a chunked
-// fork-join ParallelFor. The pool deliberately has no per-worker deques:
-// load balance comes from how ParallelFor carves an index range into
-// contiguous chunks, not from migrating queued tasks between workers.
-// Used by the run-time offer pipeline (ProductSynthesizer) and by every
-// offline stage that wants deterministic fork-join parallelism.
+// Fixed-size thread pool with a single shared FIFO queue, driven by one
+// chunked fork-join: ParallelFor. The pool deliberately has no per-worker
+// deques and one scheduling policy: load balance comes from how
+// ParallelFor carves an index range into contiguous chunks that workers
+// claim dynamically, not from migrating queued tasks between workers.
+// Call sites choose only their grain (a named constant next to the call)
+// and a region label. Used by the run-time offer pipeline
+// (ProductSynthesizer) and by every offline stage that wants
+// deterministic fork-join parallelism.
 //
 // History note (why per-item tasks failed): an earlier revision submitted
 // work at a much finer granularity — up to one closure per item on some
@@ -11,14 +14,14 @@
 // queue mutex, the std::function allocation, and the wake-up round trip
 // dominated, and the thread sweep measured *negative* scaling
 // (speedup_4_over_1 ≈ 0.8–0.9 on the seed bench world). ParallelFor now
-// always hands out contiguous chunks sized by PlanChunks; per-item
-// submission is reserved for genuinely coarse tasks.
+// always hands out contiguous chunks sized by PlanChunks and submits at
+// most one task per worker; there is no public per-task submission.
 //
 // Determinism contract: the pool itself never reorders results — callers
 // obtain bit-identical output for any thread count *and any chunk plan*
 // by writing into per-index slots (see ParallelFor) and merging
 // sequentially, the same discipline classifier_matcher.cc uses for
-// offline scoring. Chunk boundaries (grain, chunking mode, claim order)
+// offline scoring. Chunk boundaries (grain, thread count, claim order)
 // affect only which worker touches which slot, never a slot's content.
 
 #ifndef PRODSYN_UTIL_THREAD_POOL_H_
@@ -41,140 +44,107 @@
 
 namespace prodsyn {
 
-/// \brief How ParallelFor carves [0, n) into contiguous chunks.
-enum class ParallelChunking {
-  /// At most one chunk per worker, assigned up front. Minimal scheduling
-  /// overhead (one queue round trip per worker); no load balancing. Right
-  /// for bodies whose per-item cost is uniform.
-  kStatic,
-  /// Smaller chunks (~8 per worker before the min_grain floor) claimed
-  /// dynamically: min(thread_count, chunks) claim loops race on an atomic
-  /// chunk cursor, so a worker stuck on a heavy chunk does not serialize
-  /// the rest of the range. Right for skewed per-item cost (Zipf-sized
-  /// groups, categories of very different sizes).
-  kDynamic,
-};
-
-/// \brief Scheduling knobs for ParallelFor. The defaults reproduce the
-/// classic one-chunk-per-worker split.
-///
-/// `min_grain` is the floor on items per chunk: raise it when the body is
-/// so cheap (sub-microsecond) that per-chunk overhead would dominate, or
-/// when each chunk pays a fixed setup cost (e.g. a private memo cache)
-/// worth amortizing. Neither knob affects output — see the determinism
-/// contract above.
-struct ParallelForOptions {
-  size_t min_grain = 1;
-  ParallelChunking chunking = ParallelChunking::kStatic;
-  /// Region label for scheduler accounting (see sched_stats.h): all
-  /// ParallelFor calls carrying the same label aggregate into one
-  /// PoolRegionStats. Must be a string literal (stored by pointer, like
-  /// trace span names). nullptr falls back to "parallel_for". Purely
-  /// observational — never affects the chunk plan.
-  const char* label = nullptr;
-};
-
 /// \brief The chunk layout a ParallelFor call will use; computed by
 /// ThreadPool::PlanChunks and exposed for tests and bench reporting.
 /// Chunks cover [0, n): chunk c is [c*grain, min(n, (c+1)*grain)).
 struct ChunkPlan {
   size_t grain = 0;   ///< items per chunk (the last chunk may be smaller)
   size_t chunks = 0;  ///< number of chunks covering the range
-  size_t tasks = 0;   ///< pool tasks submitted; 0 = body runs inline
+  size_t tasks = 0;   ///< claim loops submitted; 0 = body runs inline
 };
 
 /// \brief A fixed-size pool of worker threads draining one shared FIFO
-/// task queue.
+/// task queue, driven only through the fork-join ParallelFor.
 ///
-/// Thread safety: Submit, ParallelFor, Wait, queue_depth and
-/// max_queue_depth may be called concurrently from any thread; the queue
-/// state is PRODSYN_GUARDED_BY(mu_) and the discipline is enforced by the
-/// clang-tsa build. Tasks may
-/// themselves call Submit (re-entrant submission is supported and covered
-/// by Wait), but must not call ParallelFor or Wait from a worker thread —
-/// that can deadlock a fully busy pool.
+/// Thread safety: ParallelFor may be called concurrently from any thread
+/// that is not one of this pool's workers (a worker waiting on its own
+/// pool can deadlock it). The queue state is PRODSYN_GUARDED_BY(mu_) and
+/// the discipline is enforced by the clang-tsa build.
 ///
-/// Shutdown: the destructor drains every queued task, then joins all
-/// workers. No exceptions are thrown on any path (tasks are expected not
-/// to throw, per the repo's no-exceptions convention).
+/// Shutdown: the destructor joins every worker. Every ParallelFor drains
+/// its own tasks before returning, so no task is ever left queued. No
+/// exceptions are thrown on any path (bodies are expected not to throw,
+/// per the repo's no-exceptions convention).
 class ThreadPool {
  public:
   /// \param threads number of workers; 0 = hardware default
   /// (HardwareThreads()).
   explicit ThreadPool(size_t threads = 0);
 
-  /// \brief Drains the queue, then joins every worker.
+  /// \brief Joins every worker.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// \brief The pool for a fork-join over `items` units of work:
+  /// `threads` workers (0 = HardwareThreads()) clamped to `items`, or
+  /// null when that leaves at most one worker — ParallelFor then runs
+  /// inline and the caller never pays for a pool. Report the resolved
+  /// count as `pool ? pool->thread_count() : 1`.
+  static std::unique_ptr<ThreadPool> ForItems(size_t threads, size_t items);
+
   /// \brief Number of worker threads (fixed for the pool's lifetime).
   size_t thread_count() const { return workers_.size(); }
-
-  /// \brief Enqueues `task` for execution on some worker. Never blocks on
-  /// queue capacity (the queue is unbounded).
-  void Submit(std::function<void()> task) PRODSYN_EXCLUDES(mu_);
-
-  /// \brief Blocks until every task submitted so far — including tasks
-  /// submitted by running tasks — has finished. Must not be called from a
-  /// worker thread.
-  void Wait() PRODSYN_EXCLUDES(mu_);
-
-  /// \brief Tasks currently queued (excluding running ones); a snapshot.
-  size_t queue_depth() const PRODSYN_EXCLUDES(mu_);
-
-  /// \brief High-water mark of queue_depth() over the pool's lifetime.
-  size_t max_queue_depth() const PRODSYN_EXCLUDES(mu_);
 
   /// \brief std::thread::hardware_concurrency(), never less than 1.
   static size_t HardwareThreads();
 
-  /// \brief The chunk layout ParallelFor(n, ..., options) would use on a
-  /// pool with `threads` workers. Pure function; exposed so tests can pin
-  /// the grain heuristic and benches can report the plan they measured.
+  /// \brief The chunk layout ParallelFor(pool, label, n, grain, ...) uses
+  /// on a pool with `threads` workers. Pure function; exposed so tests can
+  /// pin the grain heuristic.
   ///
   /// Layout rules: n == 0 plans nothing; threads <= 1 plans one inline
-  /// chunk. Otherwise grain = max(min_grain, ceil(n / target)) where
-  /// target is `threads` chunks (kStatic) or ~8x that (kDynamic), and
-  /// chunks = ceil(n / grain). A plan that collapses to a single chunk
-  /// runs inline (tasks == 0); otherwise kStatic submits one task per
-  /// chunk and kDynamic submits min(threads, chunks) claim loops.
-  static ChunkPlan PlanChunks(size_t n, size_t threads,
-                              const ParallelForOptions& options);
+  /// chunk. Otherwise the target is ~8 chunks per worker, floored at
+  /// `grain` items per chunk: grain' = max(grain, ceil(n / min(n,
+  /// 8 * threads))) and chunks = ceil(n / grain'). A plan that collapses
+  /// to a single chunk runs inline (tasks == 0); otherwise
+  /// min(threads, chunks) claim loops race on a shared chunk cursor, so a
+  /// worker stuck on a heavy chunk does not serialize the rest.
+  static ChunkPlan PlanChunks(size_t n, size_t threads, size_t grain);
 
-  /// \brief Splits [0, n) into contiguous chunks per PlanChunks, runs
-  /// `body(begin, end)` on each from the pool, and blocks until all
-  /// chunks finish. The calling thread only waits (it does not steal
-  /// work), so this must not be invoked from a worker thread. Plans with
-  /// a single chunk (thread_count() <= 1, n <= min_grain, ...) run
-  /// `body(0, n)` inline on the caller.
+  /// \brief Runs `body(begin, end)` over contiguous chunks of [0, n) and
+  /// returns once every chunk has finished. The one entry point of the
+  /// pool.
   ///
-  /// Chunk boundaries depend on the thread count and the options, so
+  /// A null `pool` runs `body(0, n)` once on the calling thread and
+  /// nothing else — no clock read, no lock, no allocation; `token` is
+  /// then left to the body. With a pool, the chunks follow PlanChunks
+  /// and are claimed by the workers; the calling thread only waits (it
+  /// does not steal work), so this must not be invoked from a worker
+  /// thread. A single-chunk plan runs inline on the caller. n == 0 never
+  /// calls `body`.
+  ///
+  /// `label` is the region name for scheduler accounting (sched_stats.h)
+  /// and must be a string literal (stored by pointer, like trace span
+  /// names; null folds into "parallel_for"). `grain` is the call site's
+  /// floor on items per chunk: raise it when the body is so cheap that
+  /// per-chunk overhead would dominate, or when each chunk pays a fixed
+  /// setup cost worth amortizing.
+  ///
+  /// Chunk boundaries depend on the thread count and the grain, so
   /// `body` must write only to per-index state (e.g. slot i of a
   /// pre-sized vector) for the overall result to be
-  /// thread-count-invariant. Each executed chunk is wrapped in a
+  /// thread-count-invariant. Each chunk a pool executes is wrapped in a
   /// "pool.chunk" trace span (see docs/OBSERVABILITY.md).
   ///
-  /// Cooperative cancellation: when `token` is non-null, chunks whose
-  /// execution has not started when the token reports cancelled are
-  /// skipped wholesale (kDynamic claim loops stop claiming); the call
-  /// still returns only after in-flight chunks finish — the latch always
-  /// drains. For prompt cancellation *within* a chunk, `body` should also
-  /// poll the token per index. A null token never cancels.
-  void ParallelFor(size_t n,
-                   const std::function<void(size_t begin, size_t end)>& body,
-                   const ParallelForOptions& options,
-                   const CancellationToken* token = nullptr);
-
-  /// \brief ParallelFor with default options (static chunking, grain 1).
-  void ParallelFor(size_t n,
-                   const std::function<void(size_t begin, size_t end)>& body);
-
-  /// \brief ParallelFor with default options and cancellation.
-  void ParallelFor(size_t n,
-                   const std::function<void(size_t begin, size_t end)>& body,
-                   const CancellationToken* token);
+  /// Cooperative cancellation: when `token` is non-null and a pool runs
+  /// the loop, chunks that have not started when the token reports
+  /// cancelled are skipped wholesale (the claim loops stop claiming); the
+  /// call still returns only after in-flight chunks finish — the latch
+  /// always drains. For prompt cancellation *within* a chunk, `body`
+  /// should also poll the token per index. A null token never cancels.
+  template <typename Body>
+  static void ParallelFor(ThreadPool* pool, const char* label, size_t n,
+                          size_t grain, const Body& body,
+                          const CancellationToken* token = nullptr) {
+    if (n == 0) return;
+    if (pool == nullptr) {
+      body(size_t{0}, n);
+      return;
+    }
+    pool->Run(label, n, grain, body, token);
+  }
 
   /// \brief Whether this pool records scheduler accounting. Sampled from
   /// SchedulerStats::enabled() ONCE at construction — flipping the global
@@ -214,6 +184,15 @@ class ThreadPool {
     uint64_t enqueue_ns = 0;
   };
 
+  /// The pool half of ParallelFor: plans the chunks, submits the claim
+  /// loops and waits on a private latch.
+  void Run(const char* label, size_t n, size_t grain,
+           const std::function<void(size_t begin, size_t end)>& body,
+           const CancellationToken* token);
+
+  /// Enqueues `task` for some worker. The queue is unbounded.
+  void Submit(std::function<void()> task) PRODSYN_EXCLUDES(mu_);
+
   void WorkerLoop(size_t worker_index);
 
   /// Folds one finished ParallelFor invocation into the label's
@@ -227,17 +206,10 @@ class ThreadPool {
   bool IdleLocked() const PRODSYN_REQUIRES(mu_) {
     return !stop_ && queue_.empty();
   }
-  /// True when everything submitted so far has finished.
-  bool DrainedLocked() const PRODSYN_REQUIRES(mu_) {
-    return queue_.empty() && active_ == 0;
-  }
 
   mutable Mutex mu_;
   CondVar work_cv_;  // signals workers: task or shutdown
-  CondVar idle_cv_;  // signals Wait(): everything drained
   std::deque<QueuedTask> queue_ PRODSYN_GUARDED_BY(mu_);
-  size_t active_ PRODSYN_GUARDED_BY(mu_) = 0;  // tasks currently executing
-  size_t max_queue_depth_ PRODSYN_GUARDED_BY(mu_) = 0;
   bool stop_ PRODSYN_GUARDED_BY(mu_) = false;
 
   // Scheduler accounting (sched_stats.h). stats_enabled_ is fixed at

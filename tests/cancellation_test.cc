@@ -77,18 +77,18 @@ TEST(ParallelForCancellationTest, PreCancelledTokenSkipsAllWork) {
   CancellationToken token;
   token.Cancel();
   std::atomic<size_t> executed{0};
-  pool.ParallelFor(  // lint: sharded — only the atomic counter is shared
-      1000, [&](size_t begin, size_t end) { executed += end - begin; },
-      &token);
+  ThreadPool::ParallelFor(  // lint: sharded — only the atomic is shared
+      &pool, "test.precancelled", 1000, 1,
+      [&](size_t begin, size_t end) { executed += end - begin; }, &token);
   EXPECT_EQ(executed.load(), 0u);
 }
 
 TEST(ParallelForCancellationTest, NullTokenRunsEverything) {
   ThreadPool pool(4);
   std::atomic<size_t> executed{0};
-  pool.ParallelFor(  // lint: sharded — only the atomic counter is shared
-      1000, [&](size_t begin, size_t end) { executed += end - begin; },
-      nullptr);
+  ThreadPool::ParallelFor(  // lint: sharded — only the atomic is shared
+      &pool, "test.null_token", 1000, 1,
+      [&](size_t begin, size_t end) { executed += end - begin; }, nullptr);
   EXPECT_EQ(executed.load(), 1000u);
 }
 
@@ -98,8 +98,8 @@ TEST(ParallelForCancellationTest, MidRunCancelReturnsWithoutHang) {
   std::atomic<size_t> chunks{0};
   // The first chunk to run cancels the token; chunks that have not
   // started yet are skipped. The call must still return (latch drains).
-  pool.ParallelFor(
-      64,
+  ThreadPool::ParallelFor(
+      &pool, "test.mid_run", 64, 1,
       // lint: sharded — chunks is atomic, Cancel() is thread-safe
       [&](size_t begin, size_t end) {
         (void)begin;
@@ -110,7 +110,7 @@ TEST(ParallelForCancellationTest, MidRunCancelReturnsWithoutHang) {
       &token);
   EXPECT_TRUE(token.cancelled());
   EXPECT_GE(chunks.load(), 1u);
-  EXPECT_LE(chunks.load(), 4u);  // at most one chunk per worker
+  EXPECT_LE(chunks.load(), 4u);  // at most one chunk per claim loop
 }
 
 }  // namespace

@@ -335,9 +335,10 @@ TEST_F(ChaosWorld, EveryRegisteredSiteFiresAndLedgerIsDumpable) {
       sweep_ledger.Add({kInvalidOffer, FailureStage::kIngestion, st, 0});
     } else if (site == "thread_pool.task") {
       FaultInjector::Global().Arm(site, spec);
+      // Every claim loop ParallelFor submits is one pool task.
       ThreadPool pool(2);
-      for (int i = 0; i < 8; ++i) pool.Submit([] {});
-      pool.Wait();
+      ThreadPool::ParallelFor(&pool, "chaos.pool_task", 8, 1,
+                              [](size_t, size_t) {});
     } else {
       FAIL() << "no chaos driver for registered fault site '" << site
              << "' — add one to this sweep";

@@ -2,8 +2,9 @@
 namespace prodsyn {
 void CountAll(ThreadPool& pool, size_t n) {
   size_t hits = 0;
-  pool.ParallelFor(n, [&](size_t begin, size_t end) {
-    hits += end - begin;  // racy write to shared local
-  });
+  ThreadPool::ParallelFor(
+      &pool, "count", n, 1, [&](size_t begin, size_t end) {
+        hits += end - begin;  // racy write to shared local
+      });
 }
 }  // namespace prodsyn

@@ -5,9 +5,10 @@ namespace prodsyn {
 double SumAll(ThreadPool& pool, const std::vector<double>& values) {
   std::vector<double> slots(1, 0.0);
   // lint: sharded — (the capture opt-out does NOT silence R9)
-  pool.ParallelFor(values.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) slots[0] += values[i];
-  });
+  ThreadPool::ParallelFor(
+      &pool, "sum", values.size(), 1, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) slots[0] += values[i];
+      });
   return slots[0];
 }
 }  // namespace prodsyn

@@ -9,15 +9,16 @@ std::vector<double> PartialGradients(ThreadPool& pool,
                                      size_t dim) {
   std::vector<double> slots(blocks * dim, 0.0);
   // lint: sharded — chunk b writes only slots[b*dim .. (b+1)*dim)
-  pool.ParallelFor(blocks, [&](size_t begin, size_t end) {
-    for (size_t b = begin; b < end; ++b) {
-      for (size_t r = b * block_rows; r < (b + 1) * block_rows; ++r) {
-        for (size_t j = 0; j < dim; ++j) {
-          slots[b * dim + j] += rows[r * dim + j];
+  ThreadPool::ParallelFor(
+      &pool, "gradients", blocks, 1, [&](size_t begin, size_t end) {
+        for (size_t b = begin; b < end; ++b) {
+          for (size_t r = b * block_rows; r < (b + 1) * block_rows; ++r) {
+            for (size_t j = 0; j < dim; ++j) {
+              slots[b * dim + j] += rows[r * dim + j];
+            }
+          }
         }
-      }
-    }
-  });
+      });
   std::vector<double> grad(dim, 0.0);
   for (size_t b = 0; b < blocks; ++b) {  // sequential in-order reduce
     for (size_t j = 0; j < dim; ++j) grad[j] += slots[b * dim + j];

@@ -1,8 +1,8 @@
 // Determinism and layout tests for the parallel LR trainer: fixed-block
 // gradient sharding must produce bit-identical weights for ANY thread
-// count and ANY ParallelFor chunk plan (the offline half of the repo's
-// determinism contract), and the flat DenseMatrix path must match the
-// AoS Dataset path exactly.
+// count and the ParallelFor chunk plan it implies (the offline half of
+// the repo's determinism contract), and the flat DenseMatrix path must
+// match the AoS Dataset path exactly.
 
 #include <gtest/gtest.h>
 
@@ -63,47 +63,44 @@ class LrParallelTest : public ::testing::Test {
   StandardScaler scaler_;
 };
 
-// The tentpole contract: any offline_threads x {chunking mode} x
-// {min_grain} combination trains to the SAME bits, because the numeric
+// The tentpole contract: any thread count — and so any chunk plan the
+// pool derives from it — trains to the SAME bits, because the numeric
 // block boundaries and the in-order tree reduce depend only on the row
-// count and block_rows — never on the schedule.
+// count and block_rows, never on the schedule. block_rows 16 splits the
+// 1200 rows into 75 blocks, which every thread count chunks differently.
 TEST_F(LrParallelTest, WeightsBitIdenticalAcrossThreadsAndChunkPlans) {
-  LogisticRegressionOptions reference_options;
-  reference_options.threads = 1;
-  LogisticRegression reference;
-  ASSERT_TRUE(reference.Fit(matrix_, reference_options).ok());
-  ASSERT_TRUE(reference.fitted());
-  ASSERT_GT(reference.iterations_used(), 1u);
+  for (const size_t block_rows : {size_t{256}, size_t{16}}) {
+    LogisticRegressionOptions reference_options;
+    reference_options.threads = 1;
+    reference_options.block_rows = block_rows;
+    LogisticRegression reference;
+    ASSERT_TRUE(reference.Fit(matrix_, reference_options).ok());
+    ASSERT_TRUE(reference.fitted());
+    ASSERT_GT(reference.iterations_used(), 1u);
 
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
-    for (const ParallelChunking chunking :
-         {ParallelChunking::kStatic, ParallelChunking::kDynamic}) {
-      for (const size_t grain : {size_t{1}, size_t{3}, size_t{16}}) {
-        LogisticRegressionOptions options;
-        options.threads = threads;
-        options.parallel = ParallelForOptions{grain, chunking};
-        LogisticRegression model;
-        ASSERT_TRUE(model.Fit(matrix_, options).ok());
-        SCOPED_TRACE(::testing::Message()
-                     << "threads=" << threads << " grain=" << grain
-                     << " chunking=" << static_cast<int>(chunking));
-        EXPECT_EQ(model.iterations_used(), reference.iterations_used());
-        ASSERT_EQ(model.weights().size(), reference.weights().size());
-        for (size_t j = 0; j < model.weights().size(); ++j) {
-          EXPECT_TRUE(
-              BitIdentical(model.weights()[j], reference.weights()[j]))
-              << "weight " << j << ": " << model.weights()[j] << " vs "
-              << reference.weights()[j];
-        }
-        EXPECT_TRUE(BitIdentical(model.intercept(), reference.intercept()));
+    for (const size_t threads :
+         {size_t{2}, size_t{3}, size_t{4}, size_t{8}, size_t{0}}) {
+      LogisticRegressionOptions options = reference_options;
+      options.threads = threads;
+      LogisticRegression model;
+      ASSERT_TRUE(model.Fit(matrix_, options).ok());
+      SCOPED_TRACE(::testing::Message() << "threads=" << threads
+                                        << " block_rows=" << block_rows);
+      EXPECT_EQ(model.iterations_used(), reference.iterations_used());
+      ASSERT_EQ(model.weights().size(), reference.weights().size());
+      for (size_t j = 0; j < model.weights().size(); ++j) {
+        EXPECT_TRUE(BitIdentical(model.weights()[j], reference.weights()[j]))
+            << "weight " << j << ": " << model.weights()[j] << " vs "
+            << reference.weights()[j];
       }
+      EXPECT_TRUE(BitIdentical(model.intercept(), reference.intercept()));
     }
   }
 }
 
 // Scheduler accounting is observation only: with SchedulerStats enabled
 // the trained weights stay bit-identical to the accounting-off reference
-// for every thread count and chunking mode.
+// for every thread count.
 TEST_F(LrParallelTest, WeightsBitIdenticalWithSchedStatsEnabled) {
   const bool was_enabled = SchedulerStats::enabled();
   SchedulerStats::Disable();
@@ -113,25 +110,20 @@ TEST_F(LrParallelTest, WeightsBitIdenticalWithSchedStatsEnabled) {
   ASSERT_TRUE(reference.Fit(matrix_, reference_options).ok());
 
   SchedulerStats::Enable();
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
-    for (const ParallelChunking chunking :
-         {ParallelChunking::kStatic, ParallelChunking::kDynamic}) {
-      LogisticRegressionOptions options;
-      options.threads = threads;
-      options.parallel = ParallelForOptions{3, chunking};
-      LogisticRegression model;
-      ASSERT_TRUE(model.Fit(matrix_, options).ok());
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads
-                   << " chunking=" << static_cast<int>(chunking));
-      EXPECT_EQ(model.iterations_used(), reference.iterations_used());
-      ASSERT_EQ(model.weights().size(), reference.weights().size());
-      for (size_t j = 0; j < model.weights().size(); ++j) {
-        EXPECT_TRUE(BitIdentical(model.weights()[j], reference.weights()[j]))
-            << "weight " << j;
-      }
-      EXPECT_TRUE(BitIdentical(model.intercept(), reference.intercept()));
+  for (const size_t threads :
+       {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{0}}) {
+    LogisticRegressionOptions options;
+    options.threads = threads;
+    LogisticRegression model;
+    ASSERT_TRUE(model.Fit(matrix_, options).ok());
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    EXPECT_EQ(model.iterations_used(), reference.iterations_used());
+    ASSERT_EQ(model.weights().size(), reference.weights().size());
+    for (size_t j = 0; j < model.weights().size(); ++j) {
+      EXPECT_TRUE(BitIdentical(model.weights()[j], reference.weights()[j]))
+          << "weight " << j;
     }
+    EXPECT_TRUE(BitIdentical(model.intercept(), reference.intercept()));
   }
   if (!was_enabled) SchedulerStats::Disable();
 }

@@ -75,36 +75,6 @@ TEST(MetricsRegistryTest, RenderJsonContainsAllSections) {
             std::string::npos);
 }
 
-TEST(MetricsRegistryTest, RenderPrometheusExposition) {
-  MetricsRegistry registry;
-  StageCounters* stage = registry.GetStage("extraction");
-  stage->AddItems(3);
-  stage->AddWallNanos(2'000'000'000);  // 2 s
-  stage->RecordLatencyNanos(1000);
-  stage->RecordLatencyNanos(1000);
-  registry.GetHistogram("fetch_bytes", "bytes")->Record(512);
-  registry.SetGauge("runtime.threads", 4);
-  const std::string prom =
-      MetricsRegistry::RenderPrometheus(registry.Snapshot());
-  EXPECT_NE(prom.find("# TYPE prodsyn_stage_items_total counter"),
-            std::string::npos);
-  EXPECT_NE(prom.find("prodsyn_stage_items_total{stage=\"extraction\"} 3"),
-            std::string::npos);
-  EXPECT_NE(prom.find("prodsyn_stage_wall_seconds{stage=\"extraction\"} 2"),
-            std::string::npos);
-  // Stage latency is a histogram family with cumulative buckets.
-  EXPECT_NE(prom.find("# TYPE prodsyn_stage_latency_seconds histogram"),
-            std::string::npos);
-  EXPECT_NE(
-      prom.find("prodsyn_stage_latency_seconds_count{stage=\"extraction\"} 2"),
-      std::string::npos);
-  EXPECT_NE(prom.find("le=\"+Inf\"} 2"), std::string::npos);
-  // Standalone non-ns histogram keeps its unit; dots sanitize to _.
-  EXPECT_NE(prom.find("# TYPE prodsyn_fetch_bytes_bytes histogram"),
-            std::string::npos);
-  EXPECT_NE(prom.find("prodsyn_runtime_threads 4"), std::string::npos);
-}
-
 TEST(MetricsRegistryTest, ConcurrentStageUpdatesAggregate) {
   MetricsRegistry registry;
   StageCounters* stage = registry.GetStage("score");
@@ -130,10 +100,11 @@ TEST(MetricsRegistryTest, ConcurrentStageUpdatesAggregate) {
 }
 
 TEST(MetricsRegistryTest, SchedStatsSchemaInBothExpositions) {
-  // The scheduler-observability names the ISSUE/docs promise: publishing
-  // a pool snapshot must surface pool.worker.*, region.imbalance,
+  // The scheduler-observability names the docs promise: publishing a
+  // pool snapshot must surface pool.worker.*, region.imbalance,
   // region.<label>.*, stage.serial_fraction.<label>, and
-  // trace.dropped_spans in RenderJson AND RenderPrometheus.
+  // trace.dropped_spans in RenderJson — since the Prometheus renderer
+  // was deleted, the one exposition left.
   PoolSchedSnapshot snapshot;
   PoolWorkerStats worker;
   worker.busy_ns = 5'000'000;
@@ -175,18 +146,6 @@ TEST(MetricsRegistryTest, SchedStatsSchemaInBothExpositions) {
         "\"stage.serial_fraction.lr.epoch\", \"value\": 200",
         "\"trace.dropped_spans\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
-  }
-
-  const std::string prom = MetricsRegistry::RenderPrometheus(snap);
-  for (const char* needle :
-       {"prodsyn_pool_worker_busy_ns 5000000",
-        "prodsyn_pool_worker_idle_ns 1000000",
-        "prodsyn_pool_worker_queue_wait_ns", "prodsyn_pool_workers 1",
-        "# TYPE prodsyn_region_imbalance_permille histogram",
-        "prodsyn_region_lr_epoch_chunks 8",
-        "prodsyn_stage_serial_fraction_lr_epoch 200",
-        "prodsyn_trace_dropped_spans"}) {
-    EXPECT_NE(prom.find(needle), std::string::npos) << needle;
   }
 }
 

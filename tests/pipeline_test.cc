@@ -469,9 +469,9 @@ TEST(SynthesizeDeterminismTest, IdenticalAcrossRuntimeThreadCounts) {
 }
 
 // The observability acceptance bar: scheduler accounting ON must leave
-// the synthesized products bit-identical across {1, 2, 4, hardware}
-// threads x {static, dynamic} chunking, while the parallel runs' stats
-// registries gain the pool.*/region.* gauges.
+// the synthesized products bit-identical across {1, 2, 3, 4, hardware}
+// threads (and so across their chunk plans), while the parallel runs'
+// stats registries gain the pool.*/region.* gauges.
 TEST(SynthesizeDeterminismTest, SchedStatsAccountingIsNonIntrusive) {
   WorldConfig config;
   config.seed = 77;
@@ -482,10 +482,9 @@ TEST(SynthesizeDeterminismTest, SchedStatsAccountingIsNonIntrusive) {
 
   const bool was_enabled = SchedulerStats::enabled();
   SchedulerStats::Disable();
-  auto run = [&world](size_t runtime_threads, ParallelChunking chunking) {
+  auto run = [&world](size_t runtime_threads) {
     SynthesizerOptions options;
     options.runtime_threads = runtime_threads;
-    options.parallel.chunking = chunking;
     ProductSynthesizer synthesizer(&world.catalog, options);
     EXPECT_TRUE(synthesizer
                     .LearnOffline(world.historical_offers,
@@ -495,44 +494,40 @@ TEST(SynthesizeDeterminismTest, SchedStatsAccountingIsNonIntrusive) {
   };
   // Reference with accounting OFF: the layer must not change the output
   // relative to a world that never heard of it.
-  const SynthesisResult base = run(1, ParallelChunking::kStatic);
+  const SynthesisResult base = run(1);
   ASSERT_GT(base.products.size(), 0u);
 
   SchedulerStats::Enable();
-  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
-    for (const ParallelChunking chunking :
-         {ParallelChunking::kStatic, ParallelChunking::kDynamic}) {
-      const SynthesisResult other = run(threads, chunking);
-      SCOPED_TRACE(::testing::Message()
-                   << "threads=" << threads
-                   << " chunking=" << static_cast<int>(chunking));
-      EXPECT_EQ(base.stats.synthesized_products,
-                other.stats.synthesized_products);
-      EXPECT_EQ(base.stats.clusters, other.stats.clusters);
-      ASSERT_EQ(base.products.size(), other.products.size());
-      for (size_t i = 0; i < base.products.size(); ++i) {
-        EXPECT_EQ(base.products[i].category, other.products[i].category);
-        EXPECT_EQ(base.products[i].key, other.products[i].key);
-        EXPECT_EQ(base.products[i].spec, other.products[i].spec);
-        EXPECT_EQ(base.products[i].source_offers,
-                  other.products[i].source_offers);
-      }
-      // Multi-threaded runs publish the scheduler gauges into the run's
-      // registry snapshot; single-threaded runs (no pool) still carry
-      // trace.dropped_spans.
-      bool saw_pool = false, saw_region = false, saw_drops = false;
-      for (const auto& gauge : other.stats.registry.gauges) {
-        if (gauge.name == "pool.worker.busy_ns") saw_pool = true;
-        if (gauge.name.rfind("region.", 0) == 0) saw_region = true;
-        if (gauge.name == "trace.dropped_spans") saw_drops = true;
-      }
-      EXPECT_TRUE(saw_drops);
-      const size_t effective =
-          threads == 0 ? ThreadPool::HardwareThreads() : threads;
-      if (effective > 1) {
-        EXPECT_TRUE(saw_pool);
-        EXPECT_TRUE(saw_region);
-      }
+  for (const size_t threads :
+       {size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{0}}) {
+    const SynthesisResult other = run(threads);
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    EXPECT_EQ(base.stats.synthesized_products,
+              other.stats.synthesized_products);
+    EXPECT_EQ(base.stats.clusters, other.stats.clusters);
+    ASSERT_EQ(base.products.size(), other.products.size());
+    for (size_t i = 0; i < base.products.size(); ++i) {
+      EXPECT_EQ(base.products[i].category, other.products[i].category);
+      EXPECT_EQ(base.products[i].key, other.products[i].key);
+      EXPECT_EQ(base.products[i].spec, other.products[i].spec);
+      EXPECT_EQ(base.products[i].source_offers,
+                other.products[i].source_offers);
+    }
+    // Multi-threaded runs publish the scheduler gauges into the run's
+    // registry snapshot; single-threaded runs (no pool) still carry
+    // trace.dropped_spans.
+    bool saw_pool = false, saw_region = false, saw_drops = false;
+    for (const auto& gauge : other.stats.registry.gauges) {
+      if (gauge.name == "pool.worker.busy_ns") saw_pool = true;
+      if (gauge.name.rfind("region.", 0) == 0) saw_region = true;
+      if (gauge.name == "trace.dropped_spans") saw_drops = true;
+    }
+    EXPECT_TRUE(saw_drops);
+    const size_t effective =
+        threads == 0 ? ThreadPool::HardwareThreads() : threads;
+    if (effective > 1) {
+      EXPECT_TRUE(saw_pool);
+      EXPECT_TRUE(saw_region);
     }
   }
   if (!was_enabled) SchedulerStats::Disable();

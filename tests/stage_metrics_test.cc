@@ -34,28 +34,13 @@ TEST(StageMetricsTest, CountersAggregateAcrossThreads) {
   StageMetrics metrics;
   StageCounters* stage = metrics.GetStage("extraction");
   ThreadPool pool(4);
-  pool.ParallelFor(1000, [stage](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) stage->AddItems(1);
-  });
+  ThreadPool::ParallelFor(&pool, "test.items", 1000, 1,
+                          [stage](size_t begin, size_t end) {
+                            for (size_t i = begin; i < end; ++i) {
+                              stage->AddItems(1);
+                            }
+                          });
   EXPECT_EQ(stage->snapshot().items, 1000u);
-}
-
-TEST(StageMetricsTest, QueueDepthKeepsTheMaximum) {
-  StageCounters stage("s");
-  stage.RecordQueueDepth(3);
-  stage.RecordQueueDepth(17);
-  stage.RecordQueueDepth(5);
-  EXPECT_EQ(stage.snapshot().max_queue_depth, 17u);
-}
-
-TEST(StageMetricsTest, QueueDepthMaxAcrossThreads) {
-  StageCounters stage("s");
-  ThreadPool pool(4);
-  // lint: sharded — StageCounters is internally atomic
-  pool.ParallelFor(256, [&stage](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) stage.RecordQueueDepth(i);
-  });
-  EXPECT_EQ(stage.snapshot().max_queue_depth, 255u);
 }
 
 TEST(StageMetricsTest, ThreadCpuClockIsMonotonePerThread) {
@@ -92,13 +77,16 @@ TEST(StageMetricsTest, TimersAggregateAcrossThreads) {
   StageMetrics metrics;
   StageCounters* stage = metrics.GetStage("parallel");
   ThreadPool pool(3);
-  pool.ParallelFor(3, [stage](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      ScopedStageTimer timer(stage);
-      volatile uint64_t sink = 0;
-      for (uint64_t j = 0; j < 500000; ++j) sink = sink + j;
-    }
-  });
+  ThreadPool::ParallelFor(&pool, "test.timers", 3, 1,
+                          [stage](size_t begin, size_t end) {
+                            for (size_t i = begin; i < end; ++i) {
+                              ScopedStageTimer timer(stage);
+                              volatile uint64_t sink = 0;
+                              for (uint64_t j = 0; j < 500000; ++j) {
+                                sink = sink + j;
+                              }
+                            }
+                          });
   const StageSnapshot snap = stage->snapshot();
   EXPECT_GT(snap.wall_ns, 0u);
   // CPU cannot meaningfully exceed wall when both are summed over the

@@ -17,8 +17,8 @@ state inside parallel bodies. Complements lint_prodsyn.py (R1-R6) with:
                             loop (same line or the line above) with
                             `// lint: order-independent`.
   R8  shared-capture        A lambda with by-reference captures handed to
-                            a parallel entry point (ParallelFor, Submit,
-                            run_chunked): by-ref state shared across
+                            a parallel entry point (ParallelFor, or the
+                            pool-internal Submit): by-ref state shared across
                             workers is a data race unless every write is
                             per-index ("sharded"), atomic, or
                             mutex-guarded. Bodies that follow the
@@ -77,8 +77,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 CC_SUFFIXES = {".cc", ".cpp", ".h", ".hpp"}
 
 # Parallel entry points: a callable argument runs on pool worker threads.
-# run_chunked is bag_index.cc's local ParallelFor-or-inline wrapper.
-ENTRY_POINTS = ("ParallelFor", "Submit", "run_chunked")
+# ParallelFor is the pool's one public entry point; Submit is its
+# private task hand-off inside thread_pool.cc.
+ENTRY_POINTS = ("ParallelFor", "Submit")
 
 # Directories whose sequential merges the bit-identical contract runs
 # through; R7 (unordered-iteration) applies here. src/snapshot/ is

@@ -44,14 +44,11 @@ def describe_environment(doc):
 
 def describe(doc):
     world = doc.get("world", {})
-    chunking = doc.get("chunking", {})
     offers = world.get("incoming_offers", world.get("historical_offers", "?"))
     return (
         f"bench={doc.get('bench', '?')} scale={doc.get('scale', '?')} "
         f"offers={offers} merchants={world.get('merchants', '?')} "
-        f"categories={world.get('categories', '?')} "
-        f"chunking={chunking.get('mode', '?')}/"
-        f"grain={chunking.get('min_grain', '?')}"
+        f"categories={world.get('categories', '?')}"
     )
 
 

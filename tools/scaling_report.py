@@ -12,9 +12,10 @@ scheduler-observability gauges of src/util/sched_stats.h) and explains
   * per-region load-balance factor (slowest chunk vs mean chunk) and
     effective parallelism (chunk-work sum / region wall);
   * scheduling-overhead culprits: chunk grains so fine the per-chunk
-    dispatch cost matters, and dynamic-cursor claim contention;
+    dispatch cost matters, and chunk-cursor claim contention;
   * a diagnosis line per region naming the dominant culprit and, where
-    the numbers point somewhere actionable, a grain/chunking suggestion.
+    the numbers point somewhere actionable, a grain suggestion (each
+    ParallelFor site's grain is a named constant next to its call).
 
 The report is advisory — it never fails the build on a perf number; the
 only nonzero exits are for unreadable or schema-less input. Sweeps
@@ -95,8 +96,8 @@ def region_metrics(region):
         # Slowest chunk vs mean chunk (>= 1.0; 1.0 = perfectly balanced).
         "imbalance": region.get("imbalance_permille", 0) / 1000.0,
         "mean_chunk_us": chunk_sum_ns / chunks / 1e3 if chunks else 0.0,
-        # Dynamic-cursor fetch_adds beyond the chunks actually executed,
-        # as a fraction of executed chunks (static chunking: 0).
+        # Claim-cursor fetch_adds beyond the chunks actually executed, as
+        # a fraction of executed chunks (inline single-chunk regions: 0).
         "claim_excess": (claim_attempts - chunks) / chunks if chunks else 0.0,
         # The region's own Amdahl split: sequential merge tail over
         # (merge + parallel wall). Matches stage.serial_fraction.<label>.
@@ -127,17 +128,19 @@ def diagnose(metrics):
     if metrics["imbalance"] > IMBALANCE_WARN and metrics["chunks"] > 1:
         notes.append(
             f"load imbalance: slowest chunk {metrics['imbalance']:.2f}x "
-            f"the mean; prefer dynamic chunking or a smaller min_grain"
+            f"the mean; lower the call site's grain constant "
+            f"(k*Grain next to its ParallelFor) for finer chunks"
         )
     if 0.0 < metrics["mean_chunk_us"] < FINE_GRAIN_US:
         notes.append(
             f"grain too fine: mean chunk {metrics['mean_chunk_us']:.1f} us; "
-            f"raise min_grain to amortize dispatch"
+            f"raise the call site's grain constant (k*Grain) to amortize "
+            f"dispatch"
         )
     if metrics["claim_excess"] > CLAIM_EXCESS_WARN:
         notes.append(
             f"cursor contention: {metrics['claim_excess'] * 100:.0f}% "
-            f"excess claim attempts on the dynamic cursor"
+            f"excess claim attempts on the chunk cursor"
         )
     return notes
 

@@ -146,6 +146,9 @@ def test_diagnose() -> None:
     notes = "\n".join(scaling_report.diagnose(m))
     check("diagnose.amdahl", "Amdahl-bound" in notes, True)
     check("diagnose.imbalance", "load imbalance" in notes, True)
+    # The remedy names the call site's grain constant, the only knob.
+    check("diagnose.imbalance-remedy",
+          "lower the call site's grain constant" in notes, True)
     check("diagnose.contention", "cursor contention" in notes, True)
     # 20 ms mean chunks are not "too fine".
     check("diagnose.no-fine-grain", "grain too fine" in notes, False)

@@ -12,7 +12,8 @@ matching *.metrics.json telemetry-registry dump.
 Every chunk a ParallelFor executes is wrapped in a `pool.chunk` span, so
 that row's count is the number of scheduled chunks and its self-time
 spread shows per-chunk imbalance — wide variance inside one stage is
-the skew signature that dynamic chunking (docs/PERFORMANCE.md) absorbs.
+the skew signature that dynamic chunk claiming (docs/PERFORMANCE.md)
+absorbs.
 
 Usage:
   tools/trace_summary.py BENCH_perf_pipeline.trace.json \
