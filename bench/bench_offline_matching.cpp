@@ -55,10 +55,9 @@ struct OfflineRun {
   double bag_build_ms = 0.0;
   double generate_ms = 0.0;
   // LR training sub-stage of the best generate run: the wall of its
-  // "lr.train" stage snapshot plus the trainer's throughput gauges.
+  // "lr.train" stage snapshot plus the trainer's iteration gauge.
   double lr_train_ms = 0.0;
   size_t lr_iterations = 0;
-  long long lr_rows_per_sec = 0;
   double title_ms = 0.0;
   // Cold-start economics of the snapshot subsystem (docs/PERSISTENCE.md):
   // publishing the learned state, mapping + validating + decoding it
@@ -161,11 +160,9 @@ bool WriteSweepJson(const std::string& path, const World& world,
                   static_cast<unsigned long long>(run.title_matches));
     json += buf;
     std::snprintf(buf, sizeof(buf),
-                  "     \"lr_train_ms\": %.3f, \"lr_iterations\": %llu, "
-                  "\"lr_rows_per_sec\": %lld,\n",
+                  "     \"lr_train_ms\": %.3f, \"lr_iterations\": %llu,\n",
                   run.lr_train_ms,
-                  static_cast<unsigned long long>(run.lr_iterations),
-                  run.lr_rows_per_sec);
+                  static_cast<unsigned long long>(run.lr_iterations));
     json += buf;
     std::snprintf(buf, sizeof(buf),
                   "     \"snapshot_save_ms\": %.3f, "
@@ -299,16 +296,13 @@ int RunOfflineSweep() {
     }
     run.correspondences = run.scored.size();
     // LR training sub-stage of the best generate run: stage wall for the
-    // latency, registry gauges for iterations and throughput.
+    // latency, the registry gauge for iterations.
     for (const StageSnapshot& stage : run.classifier_stages) {
       if (stage.name == "lr.train") run.lr_train_ms = stage.wall_ns / 1e6;
     }
     for (const auto& gauge : run.classifier_registry.gauges) {
       if (gauge.name == "lr.iterations_used") {
         run.lr_iterations = static_cast<size_t>(gauge.value);
-      }
-      if (gauge.name == "lr.rows_per_sec") {
-        run.lr_rows_per_sec = static_cast<long long>(gauge.value);
       }
     }
 
@@ -381,12 +375,13 @@ int RunOfflineSweep() {
       return 1;
     }
     std::printf("  offline_threads=%llu (effective %llu): bag %8.2f ms, "
-                "generate %8.2f ms (lr %8.2f ms, %lld rows/s), "
+                "generate %8.2f ms (lr %8.2f ms, %llu iterations), "
                 "title %8.2f ms, %llu correspondences\n",
                 static_cast<unsigned long long>(run.requested_threads),
                 static_cast<unsigned long long>(run.effective_threads),
                 run.bag_build_ms, run.generate_ms, run.lr_train_ms,
-                run.lr_rows_per_sec, run.title_ms,
+                static_cast<unsigned long long>(run.lr_iterations),
+                run.title_ms,
                 static_cast<unsigned long long>(run.correspondences));
     std::printf("      snapshot: save %8.2f ms, load %8.2f ms vs rebuild "
                 "%8.2f ms (%llu bytes)\n",

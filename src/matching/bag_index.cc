@@ -62,7 +62,8 @@ PackedKey128 MatchedBagIndex::Key(GroupLevel level, Symbol attr,
 
 Result<MatchedBagIndex> MatchedBagIndex::Build(const MatchingContext& ctx,
                                                const BagIndexOptions& options,
-                                               StageCounters* metrics) {
+                                               StageCounters* metrics,
+                                               ThreadPool* pool) {
   PRODSYN_TRACE_SPAN("bag_index.build");
   ScopedStageTimer timer(metrics);
   if (ctx.catalog == nullptr || ctx.offers == nullptr ||
@@ -160,10 +161,14 @@ Result<MatchedBagIndex> MatchedBagIndex::Build(const MatchingContext& ctx,
     group_offers.push_back(&list);
   }
 
-  // Sized by the group and product sweeps; workers beyond both counts
-  // would idle in them.
-  const std::unique_ptr<ThreadPool> pool = ThreadPool::ForItems(
-      options.build_threads, std::max(group_list.size(), products.size()));
+  // A private pool is sized by the group and product sweeps; workers
+  // beyond both counts would idle in them.
+  std::unique_ptr<ThreadPool> owned_pool;
+  if (pool == nullptr) {
+    owned_pool = ThreadPool::ForItems(
+        options.build_threads, std::max(group_list.size(), products.size()));
+    pool = owned_pool.get();
+  }
 
   std::vector<std::unordered_map<Symbol, BagOfWords>> offer_shards(
       group_list.size());
@@ -180,7 +185,7 @@ Result<MatchedBagIndex> MatchedBagIndex::Build(const MatchingContext& ctx,
       }
     }
   };
-  ThreadPool::ParallelFor(pool.get(), "bag_index.build", group_list.size(),
+  ThreadPool::ParallelFor(pool, "bag_index.build", group_list.size(),
                           kBuildGrain, tokenize_groups);
 
   std::vector<ProductProfile> profiles(products.size());
@@ -201,7 +206,7 @@ Result<MatchedBagIndex> MatchedBagIndex::Build(const MatchingContext& ctx,
       }
     }
   };
-  ThreadPool::ParallelFor(pool.get(), "bag_index.build", products.size(),
+  ThreadPool::ParallelFor(pool, "bag_index.build", products.size(),
                           kBuildGrain, profile_products);
 
   // --- Sequential merges, in sorted group order: shard bags become the
@@ -291,7 +296,7 @@ Result<MatchedBagIndex> MatchedBagIndex::Build(const MatchingContext& ctx,
     std::vector<TermDistribution> dists(entries.size());
     // Per-index slots: chunk i writes only dists[i]. // lint: sharded
     ThreadPool::ParallelFor(
-        pool.get(), "bag_index.build", entries.size(), kBuildGrain,
+        pool, "bag_index.build", entries.size(), kBuildGrain,
         [&](size_t begin, size_t end) {
           for (size_t i = begin; i < end; ++i) {
             // A bag only exists because AddText inserted at least one

@@ -36,6 +36,7 @@
 #include "src/util/interner.h"
 #include "src/util/result.h"
 #include "src/util/stage_metrics.h"
+#include "src/util/thread_pool.h"
 
 namespace prodsyn {
 
@@ -57,10 +58,15 @@ class MatchedBagIndex {
   /// \brief Builds the index; tokenizes each offer value and each matched
   /// product spec once, then derives the three grouping levels by merging.
   /// `metrics`, when non-null, receives the build's wall/CPU time and the
-  /// number of offers scanned (items).
+  /// number of offers scanned (items). `pool` is an optional externally
+  /// owned pool to run the shards on (ClassifierMatcher shares its one
+  /// pool with LR training and scoring, so the `bag_index.build` region
+  /// lands in that pool's scheduler snapshot); when null, Build sizes a
+  /// private pool from `options.build_threads`.
   static Result<MatchedBagIndex> Build(const MatchingContext& ctx,
                                        const BagIndexOptions& options = {},
-                                       StageCounters* metrics = nullptr);
+                                       StageCounters* metrics = nullptr,
+                                       ThreadPool* pool = nullptr);
 
   /// \brief Bag of values of catalog attribute `attr` for the group; null
   /// when the group produced no values.

@@ -40,12 +40,20 @@ Result<std::vector<AttributeCorrespondence>> ClassifierMatcher::Generate(
     return Status::Cancelled("offline learning cancelled before bag build");
   }
   PRODSYN_FAULT_POINT("offline.bag_build");
+  // Resolve the single offline thread knob once: one pool serves the
+  // bag-index shards, the LR passes and the candidate-scoring sweep, and
+  // its scheduler snapshot covers all three regions. Offline work scales
+  // with the historical offers, so they size the pool.
+  const std::unique_ptr<ThreadPool> pool = ThreadPool::ForItems(
+      options_.offline_threads, ctx.offers != nullptr ? ctx.offers->size() : 0);
+  const size_t threads = pool != nullptr ? pool->thread_count() : 1;
+  registry.SetGauge("offline.threads", static_cast<int64_t>(threads));
   BagIndexOptions bag_options = options_.bag_index;
-  bag_options.build_threads = options_.offline_threads;
+  bag_options.build_threads = threads;
   PRODSYN_ASSIGN_OR_RETURN(
       MatchedBagIndex index,
       MatchedBagIndex::Build(ctx, bag_options,
-                             registry.GetStage("bag_index.build")));
+                             registry.GetStage("bag_index.build"), pool.get()));
   FeatureComputer computer(&index, options_.features);
 
   if (cancelled()) {
@@ -66,16 +74,7 @@ Result<std::vector<AttributeCorrespondence>> ClassifierMatcher::Generate(
         " negatives); need name-identity anchors with alternatives");
   }
 
-  // Resolve the single offline thread knob once; one pool serves both the
-  // per-epoch LR gradient sweeps and the candidate-scoring sweep, so the
-  // epoch loop never pays a pool construction per Fit. The training rows
-  // are a subset of the candidates, so the candidate clamp never
-  // under-provisions training.
   const auto& candidates = index.candidates();
-  const std::unique_ptr<ThreadPool> pool =
-      ThreadPool::ForItems(options_.offline_threads, candidates.size());
-  const size_t threads = pool != nullptr ? pool->thread_count() : 1;
-  registry.SetGauge("offline.threads", static_cast<int64_t>(threads));
   registry.SetGauge("offline.candidates",
                     static_cast<int64_t>(candidates.size()));
 
@@ -83,16 +82,15 @@ Result<std::vector<AttributeCorrespondence>> ClassifierMatcher::Generate(
     return Status::Cancelled("offline learning cancelled before LR training");
   }
   PRODSYN_FAULT_POINT("offline.lr_train");
-  StageCounters* epoch_stage = nullptr;
   {
     PRODSYN_TRACE_SPAN("lr.train");
     StageCounters* train_stage = registry.GetStage("lr.train");
-    epoch_stage = registry.GetStage("lr.epoch");
+    StageCounters* epoch_stage = registry.GetStage("lr.epoch");
     ScopedStageTimer timer(train_stage);
     // Pack the AoS training set into one contiguous row-major matrix and
     // standardize it in place — the scaler writes into the flat buffer
     // instead of producing a second per-example-vector copy, and the
-    // trainer's per-epoch sweeps stream it linearly.
+    // trainer's per-iteration passes stream it linearly.
     PRODSYN_ASSIGN_OR_RETURN(DenseMatrix matrix,
                              DenseMatrix::FromDataset(training.dataset));
     PRODSYN_RETURN_NOT_OK(scaler_.Fit(matrix));
@@ -106,18 +104,6 @@ Result<std::vector<AttributeCorrespondence>> ClassifierMatcher::Generate(
   stats_.lr_iterations = model_.iterations_used();
   registry.SetGauge("lr.iterations_used",
                     static_cast<int64_t>(model_.iterations_used()));
-  // Training throughput: rows swept per wall second over all epochs. The
-  // epoch scopes are sequential at the Fit level, so their wall total is
-  // the training loop's elapsed time.
-  const StageSnapshot epoch_snapshot = epoch_stage->snapshot();
-  if (epoch_snapshot.wall_ns > 0) {
-    const double rows_per_sec =
-        static_cast<double>(model_.iterations_used()) *
-        static_cast<double>(training.dataset.size()) * 1e9 /
-        static_cast<double>(epoch_snapshot.wall_ns);
-    registry.SetGauge("lr.rows_per_sec",
-                      static_cast<int64_t>(std::llround(rows_per_sec)));
-  }
 
   if (cancelled()) {
     return Status::Cancelled("offline learning cancelled before scoring");

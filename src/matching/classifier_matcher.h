@@ -37,14 +37,14 @@ struct ClassifierMatcherOptions {
   /// assumption 1); give them score 1 in the output so reconciliation
   /// always applies them. Evaluation excludes A=B tuples regardless.
   bool force_name_identity_score = true;
-  /// The single offline-phase thread knob: drives the bag-index build
-  /// shards (overrides bag_index.build_threads at Generate time), the
-  /// per-epoch LR gradient sweeps (overrides regression.threads; training
-  /// and scoring share one pool), and the candidate-scoring sweep — the
-  /// three dominant costs of offline learning at catalog scale. Each
-  /// scoring chunk gets its own FeatureComputer (the memoization caches
-  /// are not shared) and writes per-index slots, and LR training reduces
-  /// fixed-block partial gradients in order, so results are bit-identical
+  /// The single offline-phase thread knob: sizes the one pool that runs
+  /// the bag-index build shards (overrides bag_index.build_threads at
+  /// Generate time), the per-iteration LR passes (overrides
+  /// regression.threads), and the candidate-scoring sweep — the three
+  /// dominant costs of offline learning at catalog scale. Each scoring
+  /// chunk gets its own FeatureComputer (the memoization caches are not
+  /// shared) and writes per-index slots, and LR training reduces
+  /// fixed-block partial sums in order, so results are bit-identical
   /// regardless of thread count. 0 = hardware default, mirroring
   /// SynthesizerOptions::runtime_threads.
   size_t offline_threads = 1;

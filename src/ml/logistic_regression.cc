@@ -19,13 +19,16 @@ double Sigmoid(double z) {
 
 namespace {
 
-// ParallelFor grain of the per-epoch sweep, in blocks of `block_rows`
-// rows. One epoch is short (a seed-scale world trains on 17 blocks, ~0.1
-// ms per epoch at 4 threads), so single-block chunks of ~15 us let the
-// claim and dispatch cost show; four blocks per chunk give that epoch 5
-// chunks for 4 workers and leave large training sets at ~8 chunks per
-// worker.
-constexpr size_t kEpochGrain = 4;
+// Rows per numeric block. Block boundaries — and therefore the
+// floating-point reduce order — depend only on this and the row count.
+constexpr size_t kBlockRows = 256;
+
+// Armijo sufficient-decrease fraction of the backtracking line search,
+// and the relative loss slack that absorbs summation roundoff once the
+// true decrease falls below it (near the optimum every full Newton step
+// is accepted).
+constexpr double kArmijo = 1e-4;
+constexpr double kLossSlack = 1e-12;
 
 // Contiguous dot product with four independent accumulators combined in a
 // FIXED order: deterministic (the order never depends on threads or chunk
@@ -53,13 +56,12 @@ void Axpy(double a, const double* x, double* y, size_t dim) {
   for (size_t j = 0; j < dim; ++j) y[j] += a * x[j];
 }
 
-// Sequential in-order pairwise tree reduce over the per-block gradient
-// slots: slot b absorbs slot b+stride with the stride doubling, so the
-// combination order is a fixed function of the block count alone —
-// bit-identical for any thread count and chunk plan, and
-// better-conditioned than a left-to-right sweep. Runs on the calling
-// thread after the ParallelFor latch drains. The reduced sums land in
-// slot 0.
+// Sequential in-order pairwise tree reduce over the per-block slots: slot
+// b absorbs slot b+stride with the stride doubling, so the combination
+// order is a fixed function of the block count alone — bit-identical for
+// any thread count and chunk plan, and better-conditioned than a
+// left-to-right sweep. Runs on the calling thread after the ParallelFor
+// latch drains. The reduced sums land in slot 0.
 void ReduceSlotsInOrder(std::vector<double>* slots, size_t blocks,
                         size_t stride_doubles) {
   for (size_t stride = 1; stride < blocks; stride *= 2) {
@@ -69,6 +71,36 @@ void ReduceSlotsInOrder(std::vector<double>* slots, size_t blocks,
       for (size_t j = 0; j < stride_doubles; ++j) dst[j] += src[j];
     }
   }
+}
+
+// Solves A·x = b in place for the n×n symmetric matrix A given as its
+// packed lower triangle (row i holds columns 0..i): A is overwritten by
+// its Cholesky factor L and `b` by x. False on a non-positive (or NaN)
+// pivot, i.e. when A is not positive definite.
+bool CholeskySolve(double* a, double* b, size_t n) {
+  auto at = [a](size_t i, size_t j) -> double& {
+    return a[i * (i + 1) / 2 + j];
+  };
+  for (size_t j = 0; j < n; ++j) {
+    double pivot = at(j, j);
+    for (size_t k = 0; k < j; ++k) pivot -= at(j, k) * at(j, k);
+    if (!(pivot > 0.0)) return false;
+    at(j, j) = std::sqrt(pivot);
+    for (size_t i = j + 1; i < n; ++i) {
+      double v = at(i, j);
+      for (size_t k = 0; k < j; ++k) v -= at(i, k) * at(j, k);
+      at(i, j) = v / at(j, j);
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {  // L·y = b
+    for (size_t k = 0; k < i; ++k) b[i] -= at(i, k) * b[k];
+    b[i] /= at(i, i);
+  }
+  for (size_t i = n; i-- > 0;) {  // Lᵀ·x = y
+    for (size_t k = i + 1; k < n; ++k) b[i] -= at(k, i) * b[k];
+    b[i] /= at(i, i);
+  }
+  return true;
 }
 
 }  // namespace
@@ -85,6 +117,9 @@ Status LogisticRegression::Fit(const Dataset& data,
 Status LogisticRegression::Fit(const DenseMatrix& data,
                                const LogisticRegressionOptions& options,
                                ThreadPool* pool, StageCounters* epoch_stage) {
+  weights_.clear();
+  intercept_ = 0.0;
+  iterations_used_ = 0;
   if (data.empty()) {
     return Status::InvalidArgument("cannot fit on empty dataset");
   }
@@ -96,28 +131,25 @@ Status LogisticRegression::Fit(const DenseMatrix& data,
         std::to_string(positives) + ", total=" + std::to_string(n) + ")");
   }
 
-  // Class weights: total mass of each class equals n/2 when balancing.
+  // Class weights: each class carries a total mass of n/2 (the
+  // auto-generated training set has ~1 positive per dozen negatives).
   const double negatives = static_cast<double>(n - positives);
   const double w_pos =
-      options.balance_classes
-          ? static_cast<double>(n) / (2.0 * static_cast<double>(positives))
-          : 1.0;
-  const double w_neg =
-      options.balance_classes ? static_cast<double>(n) / (2.0 * negatives)
-                              : 1.0;
+      static_cast<double>(n) / (2.0 * static_cast<double>(positives));
+  const double w_neg = static_cast<double>(n) / (2.0 * negatives);
   const double total_weight =
       w_pos * static_cast<double>(positives) + w_neg * negatives;
 
+  // θ = (weights, intercept): the intercept is the constant-1 feature at
+  // index dim of the augmented row, unpenalized.
   const size_t dim = data.cols();
-  weights_.assign(dim, 0.0);
-  intercept_ = 0.0;
-
-  // Fixed numeric blocks: boundaries depend only on n and block_rows, so
-  // the per-block partial sums — and therefore the reduce below — are
-  // independent of how ParallelFor schedules the blocks onto workers.
-  const size_t block_rows = std::max<size_t>(1, options.block_rows);
-  const size_t blocks = (n + block_rows - 1) / block_rows;
-  const size_t slot_stride = dim + 1;  // gradient components + intercept
+  const size_t params = dim + 1;
+  const size_t hessian_size = params * (params + 1) / 2;
+  // Slot layout: gradient sums [0, params), packed lower-triangle Hessian
+  // sums [params, params + hessian_size), loss sum last.
+  const size_t slot_stride = params + hessian_size + 1;
+  const size_t loss_index = slot_stride - 1;
+  const size_t blocks = (n + kBlockRows - 1) / kBlockRows;
   std::vector<double> slots(blocks * slot_stride, 0.0);
 
   std::unique_ptr<ThreadPool> owned_pool;
@@ -126,66 +158,101 @@ Status LogisticRegression::Fit(const DenseMatrix& data,
     pool = owned_pool.get();
   }
 
-  // Each block writes only its own slot; weights_/intercept_ are read-only
-  // inside an epoch and only updated between epochs (after the ParallelFor
-  // latch drains). // lint: sharded
+  std::vector<double> theta(params, 0.0);  // the point this pass evaluates
+  // Each block writes only its own slot; theta is read-only inside a pass
+  // and only updated between passes (after the ParallelFor latch drains).
+  // lint: sharded
   auto block_body = [&](size_t block_begin, size_t block_end) {
     for (size_t b = block_begin; b < block_end; ++b) {
       double* slot = slots.data() + b * slot_stride;
       std::fill(slot, slot + slot_stride, 0.0);
-      const size_t row_begin = b * block_rows;
-      const size_t row_end = std::min(n, row_begin + block_rows);
+      const size_t row_begin = b * kBlockRows;
+      const size_t row_end = std::min(n, row_begin + kBlockRows);
       for (size_t i = row_begin; i < row_end; ++i) {
         const double* x = data.Row(i);
-        const double p = Sigmoid(intercept_ + DotRow(weights_.data(), x, dim));
+        const double z = theta[dim] + DotRow(theta.data(), x, dim);
+        // One exp serves the stable sigmoid and the stable log-loss
+        // softplus(±z) = max(±z, 0) + log1p(e^{-|z|}).
+        const double e = std::exp(-std::fabs(z));
+        const double p = z >= 0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
         const int label = data.label(i);
-        const double w = label == 1 ? w_pos : w_neg;
-        const double err = w * (p - static_cast<double>(label));
-        Axpy(err, x, slot, dim);
-        slot[dim] += err;
+        const double c = label == 1 ? w_pos : w_neg;
+        const double margin = label == 1 ? -z : z;
+        slot[loss_index] += c * (std::max(margin, 0.0) + std::log1p(e));
+        const double r = c * (p - static_cast<double>(label));
+        Axpy(r, x, slot, dim);
+        slot[dim] += r;
+        const double h = c * p * (1.0 - p);
+        double* hess = slot + params;
+        for (size_t j = 0; j < dim; ++j) {
+          Axpy(h * x[j], x, hess, j + 1);  // row j: columns 0..j
+          hess += j + 1;
+        }
+        Axpy(h, x, hess, dim);  // intercept row: the constant feature
+        hess[dim] += h;
       }
     }
   };
 
-  std::vector<double> grad(dim, 0.0);
-  std::vector<double> velocity(dim, 0.0);
-  double intercept_velocity = 0.0;
-  iterations_used_ = 0;
-  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
+  std::vector<double> accepted;  // last iterate the line search accepted
+  std::vector<double> grad(params, 0.0);
+  std::vector<double> step(params, 0.0);
+  std::vector<double> hessian(hessian_size, 0.0);
+  double accepted_loss = 0.0, slope = 0.0, t = 1.0;
+  while (iterations_used_ < kMaxIterations) {
     ++iterations_used_;
     ScopedStageTimer epoch_timer(epoch_stage);
-    ThreadPool::ParallelFor(pool, "lr.epoch", blocks, kEpochGrain,
+    ThreadPool::ParallelFor(pool, "lr.epoch", blocks, /*grain=*/1,
                             block_body);
-    // The in-order reduce and the weight update are the epoch's mandatory
+    // The in-order reduce and the Newton solve are the pass's mandatory
     // sequential tail — the lr.epoch region's Amdahl serial component.
     ScopedMergeTimer merge_timer(pool, "lr.epoch");
     ReduceSlotsInOrder(&slots, blocks, slot_stride);
     const double* sums = slots.data();
 
-    double max_grad = 0.0;
-    for (size_t j = 0; j < dim; ++j) {
-      grad[j] = sums[j] / total_weight + options.l2 * weights_[j];
-      max_grad = std::max(max_grad, std::fabs(grad[j]));
+    double loss = sums[loss_index] / total_weight;
+    for (size_t j = 0; j < dim; ++j) loss += 0.5 * kL2 * theta[j] * theta[j];
+    if (!accepted.empty() &&
+        !(loss <= accepted_loss + kArmijo * t * slope +
+                      kLossSlack * std::fabs(accepted_loss))) {
+      // Insufficient decrease: halve the step from the accepted iterate.
+      t *= 0.5;
+      for (size_t j = 0; j < params; ++j) theta[j] = accepted[j] + t * step[j];
+      continue;
     }
-    const double grad_intercept = sums[dim] / total_weight;
-    if (options.fit_intercept) {
-      max_grad = std::max(max_grad, std::fabs(grad_intercept));
+    accepted = theta;
+    accepted_loss = loss;
+
+    // Gradient g and Hessian H of the objective at θ. A NaN component
+    // fails the tolerance test, so it reaches the solve and fails there.
+    bool converged = true;
+    for (size_t j = 0; j < params; ++j) {
+      grad[j] = sums[j] / total_weight + (j < dim ? kL2 * theta[j] : 0.0);
+      converged = converged && std::fabs(grad[j]) <= kGradientTolerance;
     }
-    for (size_t j = 0; j < dim; ++j) {
-      velocity[j] = options.momentum * velocity[j] -
-                    options.learning_rate * grad[j];
-      weights_[j] += velocity[j];
+    if (converged) break;
+    for (size_t k = 0; k < hessian_size; ++k) {
+      hessian[k] = sums[params + k] / total_weight;
+    }
+    for (size_t j = 0; j < dim; ++j) hessian[j * (j + 1) / 2 + j] += kL2;
+    for (size_t j = 0; j < params; ++j) step[j] = -grad[j];
+    if (!CholeskySolve(hessian.data(), step.data(), params)) {
+      return Status::Internal(
+          "logistic regression Newton system is not positive definite "
+          "(non-finite features?)");
+    }
+    slope = 0.0;
+    for (size_t j = 0; j < params; ++j) slope += grad[j] * step[j];
+    t = 1.0;
+    for (size_t j = 0; j < params; ++j) {
+      theta[j] = accepted[j] + step[j];
       // A diverging optimizer (NaN/inf weight) would poison every later
       // prediction while still "converging" by the gradient test.
-      PRODSYN_DCHECK_FINITE(weights_[j]);
+      PRODSYN_DCHECK_FINITE(theta[j]);
     }
-    if (options.fit_intercept) {
-      intercept_velocity = options.momentum * intercept_velocity -
-                           options.learning_rate * grad_intercept;
-      intercept_ += intercept_velocity;
-    }
-    if (max_grad < options.gradient_tolerance) break;
   }
+  weights_.assign(accepted.begin(), accepted.begin() + dim);
+  intercept_ = accepted[dim];
   return Status::OK();
 }
 

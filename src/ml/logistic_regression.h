@@ -2,15 +2,18 @@
 // uses logistic regression to predict whether a candidate ⟨A,B,M,C⟩ tuple
 // is actually an attribute correspondence").
 //
-// Training is full-batch gradient descent with L2 regularization over a
-// flat row-major DenseMatrix. Each epoch shards the rows into FIXED
-// numeric blocks (boundaries depend only on the row count and
-// `block_rows`, never on the thread count or the ParallelFor chunk plan),
-// computes each block's partial gradient into its own pre-sized slot on
-// the pool, and combines the slots with a sequential in-order pairwise
-// tree reduce — so the trained weights are bit-identical for any
-// `threads` value and any scheduling plan, the same determinism contract
-// as every other parallel stage (docs/ARCHITECTURE.md).
+// Fit minimizes class-balanced log-loss plus an L2 penalty on the weights
+// (not the intercept) over a flat row-major DenseMatrix by exact Newton
+// (IRLS) with a backtracking line search. Each Newton iteration is one
+// pass over the rows: the rows are sharded into FIXED 256-row blocks
+// (boundaries depend only on the row count, never on the thread count or
+// the ParallelFor chunk plan), each block writes its loss, gradient and
+// lower-triangle Hessian into its own pre-sized slot on the pool, and a
+// sequential in-order pairwise tree reduce combines the slots. The
+// (dim+1)² Cholesky solve for the step runs on the calling thread, so the
+// trained weights are bit-identical for any `threads` value and any
+// scheduling plan — the same determinism contract as every other
+// parallel stage (docs/ARCHITECTURE.md).
 
 #ifndef PRODSYN_ML_LOGISTIC_REGRESSION_H_
 #define PRODSYN_ML_LOGISTIC_REGRESSION_H_
@@ -27,31 +30,11 @@ namespace prodsyn {
 
 /// \brief Training options for LogisticRegression.
 struct LogisticRegressionOptions {
-  double learning_rate = 0.5;
-  /// Heavy-ball momentum (0 disables). With standardized features the
-  /// default cuts convergence by roughly an order of magnitude while
-  /// remaining fully deterministic.
-  double momentum = 0.9;
-  size_t max_iterations = 2000;
-  /// L2 penalty λ applied to weights (not the intercept).
-  double l2 = 1e-4;
-  /// Stop when the max absolute gradient component falls below this.
-  double gradient_tolerance = 1e-6;
-  bool fit_intercept = true;
-  /// Reweight classes inversely to frequency (the auto-generated training
-  /// set is imbalanced: ~1 positive per several negatives).
-  bool balance_classes = true;
-
-  /// Worker threads for the per-epoch gradient sweep; 0 = hardware
-  /// default, 1 = fully sequential (no pool). ClassifierMatcher overrides
-  /// this with its `offline_threads` knob at Generate time.
+  /// Worker threads for the per-iteration gradient/Hessian pass; 0 =
+  /// hardware default, 1 = fully sequential (no pool). ClassifierMatcher
+  /// overrides this with its `offline_threads` knob at Generate time. The
+  /// trained weights are bit-identical for every value.
   size_t threads = 1;
-  /// Rows per numeric block. Block boundaries — and therefore the
-  /// floating-point reduce order — depend ONLY on this and the row count,
-  /// so changing `threads` never changes the trained weights. Changing
-  /// `block_rows` itself is a (documented) numeric change, like changing
-  /// the learning rate.
-  size_t block_rows = 256;
 };
 
 /// \brief Trained binary logistic model.
@@ -59,15 +42,29 @@ class LogisticRegression {
  public:
   LogisticRegression() = default;
 
+  /// \brief Max |gradient component| (weights and intercept) at which
+  /// Fit stops: the model is then the objective's minimizer to within
+  /// this tolerance.
+  static constexpr double kGradientTolerance = 1e-8;
+
+  /// \brief Safety cap on passes over the data. Newton converges in ~10
+  /// on every training set in this repo; reaching the cap returns the
+  /// last accepted iterate.
+  static constexpr size_t kMaxIterations = 100;
+
+  /// \brief L2 penalty λ: the objective adds (λ/2)·‖weights‖².
+  static constexpr double kL2 = 1e-4;
+
   /// \brief Fits on the flat matrix. Requires at least one example of
-  /// each class.
+  /// each class. Internal (and no model) if a Newton system is not
+  /// positive definite, which only non-finite features can cause.
   ///
-  /// `pool` is an optional externally owned pool to run the per-epoch
-  /// sweeps on (ClassifierMatcher shares one pool between LR training and
+  /// `pool` is an optional externally owned pool to run the per-iteration
+  /// passes on (ClassifierMatcher shares one pool between LR training and
   /// candidate scoring); when null and options.threads != 1, Fit creates
   /// a private pool. `epoch_stage` is optional observability: one latency
-  /// observation per epoch (the `lr.epoch` histogram) — measurements
-  /// only, outside the determinism contract.
+  /// observation per pass over the data (the `lr.epoch` histogram) —
+  /// measurements only, outside the determinism contract.
   Status Fit(const DenseMatrix& data,
              const LogisticRegressionOptions& options = {},
              ThreadPool* pool = nullptr, StageCounters* epoch_stage = nullptr);
@@ -88,7 +85,8 @@ class LogisticRegression {
   const std::vector<double>& weights() const { return weights_; }
   double intercept() const { return intercept_; }
 
-  /// \brief Number of gradient-descent iterations the last Fit used.
+  /// \brief Passes over the data the last Fit made: one per Newton
+  /// iteration, plus one per step the line search halved.
   size_t iterations_used() const { return iterations_used_; }
 
   /// \brief Reinstates a previously trained model from serialized state

@@ -1,6 +1,8 @@
-// Per-feature standardization (zero mean, unit variance): makes the
-// logistic-regression gradient descent well-conditioned regardless of the
-// raw feature ranges.
+// Per-feature standardization (zero mean, unit variance). Logistic
+// regression's L2 penalty is defined on the standardized features, so the
+// scaler fixes what "small weights" means whatever the raw feature
+// ranges; the Newton trainer itself is scale-invariant and would reach
+// the same unpenalized fit on raw features.
 
 #ifndef PRODSYN_ML_SCALER_H_
 #define PRODSYN_ML_SCALER_H_

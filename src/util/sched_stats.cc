@@ -86,7 +86,7 @@ void PublishSchedStats(const PoolSchedSnapshot& snapshot,
                        static_cast<int64_t>(r.claim_attempts));
     registry->SetGauge(base + "merge_ns", static_cast<int64_t>(r.merge_ns));
     registry->SetGauge(base + "imbalance_permille",
-                       static_cast<int64_t>(r.ImbalancePermille()));
+                       static_cast<int64_t>(r.max_imbalance_permille));
     registry->SetGauge("stage.serial_fraction." + r.label,
                        static_cast<int64_t>(r.SerialFractionPermille()));
   }

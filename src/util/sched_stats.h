@@ -79,15 +79,11 @@ struct PoolRegionStats {
   uint64_t chunk_max_ns = 0;    ///< slowest chunk across invocations
   uint64_t claim_attempts = 0;  ///< dynamic-cursor fetch_adds (>= chunks)
   uint64_t merge_ns = 0;        ///< sequential merge wall noted by callers
-  uint64_t max_imbalance_permille = 0;  ///< worst per-invocation max/mean
-
-  /// \brief Load-balance factor of the aggregate: slowest chunk over mean
-  /// chunk wall, in permille (1000 = perfectly balanced). 0 when no
-  /// chunks ran.
-  uint64_t ImbalancePermille() const {
-    if (chunks == 0 || chunk_sum_ns == 0) return 0;
-    return chunk_max_ns * chunks * 1000 / chunk_sum_ns;
-  }
+  /// Load-balance factor of the worst invocation: its slowest chunk over
+  /// its mean chunk wall, in permille (1000 = perfectly balanced; 0 when
+  /// no chunks ran). Per invocation, so one preempted chunk among
+  /// thousands of short invocations does not read as imbalance.
+  uint64_t max_imbalance_permille = 0;
 
   /// \brief Serial fraction of the region's stage in permille: the noted
   /// sequential merge wall over merge + parallel-section wall. The

@@ -51,8 +51,10 @@ bool BitIdentical(double a, double b) {
 
 class LrParallelTest : public ::testing::Test {
  protected:
+  // 6000 rows are 24 fixed 256-row blocks: enough that every thread
+  // count below chunks the blocks differently.
   void SetUp() override {
-    data_ = MakeTrainingSet(1200, 42);
+    data_ = MakeTrainingSet(6000, 42);
     matrix_ = *DenseMatrix::FromDataset(data_);
     ASSERT_TRUE(scaler_.Fit(matrix_).ok());
     ASSERT_TRUE(scaler_.TransformInPlace(&matrix_).ok());
@@ -65,36 +67,31 @@ class LrParallelTest : public ::testing::Test {
 
 // The tentpole contract: any thread count — and so any chunk plan the
 // pool derives from it — trains to the SAME bits, because the numeric
-// block boundaries and the in-order tree reduce depend only on the row
-// count and block_rows, never on the schedule. block_rows 16 splits the
-// 1200 rows into 75 blocks, which every thread count chunks differently.
+// block boundaries, the in-order tree reduce and the Newton solve on the
+// calling thread depend only on the row count, never on the schedule.
 TEST_F(LrParallelTest, WeightsBitIdenticalAcrossThreadsAndChunkPlans) {
-  for (const size_t block_rows : {size_t{256}, size_t{16}}) {
-    LogisticRegressionOptions reference_options;
-    reference_options.threads = 1;
-    reference_options.block_rows = block_rows;
-    LogisticRegression reference;
-    ASSERT_TRUE(reference.Fit(matrix_, reference_options).ok());
-    ASSERT_TRUE(reference.fitted());
-    ASSERT_GT(reference.iterations_used(), 1u);
+  LogisticRegressionOptions reference_options;
+  reference_options.threads = 1;
+  LogisticRegression reference;
+  ASSERT_TRUE(reference.Fit(matrix_, reference_options).ok());
+  ASSERT_TRUE(reference.fitted());
+  ASSERT_GT(reference.iterations_used(), 1u);
 
-    for (const size_t threads :
-         {size_t{2}, size_t{3}, size_t{4}, size_t{8}, size_t{0}}) {
-      LogisticRegressionOptions options = reference_options;
-      options.threads = threads;
-      LogisticRegression model;
-      ASSERT_TRUE(model.Fit(matrix_, options).ok());
-      SCOPED_TRACE(::testing::Message() << "threads=" << threads
-                                        << " block_rows=" << block_rows);
-      EXPECT_EQ(model.iterations_used(), reference.iterations_used());
-      ASSERT_EQ(model.weights().size(), reference.weights().size());
-      for (size_t j = 0; j < model.weights().size(); ++j) {
-        EXPECT_TRUE(BitIdentical(model.weights()[j], reference.weights()[j]))
-            << "weight " << j << ": " << model.weights()[j] << " vs "
-            << reference.weights()[j];
-      }
-      EXPECT_TRUE(BitIdentical(model.intercept(), reference.intercept()));
+  for (const size_t threads :
+       {size_t{2}, size_t{3}, size_t{4}, size_t{8}, size_t{0}}) {
+    LogisticRegressionOptions options;
+    options.threads = threads;
+    LogisticRegression model;
+    ASSERT_TRUE(model.Fit(matrix_, options).ok());
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    EXPECT_EQ(model.iterations_used(), reference.iterations_used());
+    ASSERT_EQ(model.weights().size(), reference.weights().size());
+    for (size_t j = 0; j < model.weights().size(); ++j) {
+      EXPECT_TRUE(BitIdentical(model.weights()[j], reference.weights()[j]))
+          << "weight " << j << ": " << model.weights()[j] << " vs "
+          << reference.weights()[j];
     }
+    EXPECT_TRUE(BitIdentical(model.intercept(), reference.intercept()));
   }
 }
 

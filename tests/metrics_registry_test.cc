@@ -122,9 +122,12 @@ TEST(MetricsRegistryTest, SchedStatsSchemaInBothExpositions) {
   region.chunk_max_ns = 1'500'000;
   region.claim_attempts = 10;
   region.merge_ns = 1'000'000;
+  // Whole-run max/mean would read 1.5e6 * 8 / 6e6 = 2000; the gauge is
+  // the worst single invocation's factor instead.
+  region.max_imbalance_permille = 1250;
   snapshot.regions.push_back(region);
   LogHistogram imbalance;
-  imbalance.Record(region.ImbalancePermille());
+  imbalance.Record(region.max_imbalance_permille);
   snapshot.imbalance_permille = imbalance.snapshot();
   snapshot.imbalance_permille.name = "region.imbalance";
   snapshot.imbalance_permille.unit = "permille";
@@ -142,7 +145,7 @@ TEST(MetricsRegistryTest, SchedStatsSchemaInBothExpositions) {
         "\"region.lr.epoch.wall_ns\"", "\"region.lr.epoch.chunk_sum_ns\"",
         "\"region.lr.epoch.claim_attempts\", \"value\": 10",
         "\"region.lr.epoch.merge_ns\"",
-        "\"region.lr.epoch.imbalance_permille\"",
+        "\"region.lr.epoch.imbalance_permille\", \"value\": 1250",
         "\"stage.serial_fraction.lr.epoch\", \"value\": 200",
         "\"trace.dropped_spans\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;

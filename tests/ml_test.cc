@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -7,7 +8,12 @@
 #include <utility>
 #include <vector>
 
+#include "bench/bench_common.h"
+#include "src/matching/bag_index.h"
+#include "src/matching/classifier_matcher.h"
+#include "src/matching/training_set.h"
 #include "src/ml/dataset.h"
+#include "src/ml/dense_matrix.h"
 #include "src/ml/logistic_regression.h"
 #include "src/ml/metrics.h"
 #include "src/ml/naive_bayes.h"
@@ -146,29 +152,126 @@ TEST(LogisticRegressionTest, ClassBalancingHelpsImbalancedData) {
   if (data.positive_count() == 0) GTEST_SKIP();
   LogisticRegression model;
   LogisticRegressionOptions options;
-  options.balance_classes = true;
   ASSERT_TRUE(model.Fit(data, options).ok());
   EXPECT_GT(*model.PredictProbability({0.99}), 0.5);
   EXPECT_LT(*model.PredictProbability({0.1}), 0.5);
 }
 
-TEST(LogisticRegressionTest, MomentumAcceleratesConvergence) {
-  Rng rng(9);
-  Dataset data = LinearlySeparable(300, &rng);
-  LogisticRegressionOptions plain;
-  plain.momentum = 0.0;
-  plain.max_iterations = 5000;
-  LogisticRegression slow;
-  ASSERT_TRUE(slow.Fit(data, plain).ok());
-  LogisticRegressionOptions accelerated;
-  accelerated.momentum = 0.9;
-  accelerated.max_iterations = 5000;
-  LogisticRegression fast;
-  ASSERT_TRUE(fast.Fit(data, accelerated).ok());
-  // Same sign structure, far fewer iterations.
-  EXPECT_GT(fast.weights()[0], 0.0);
-  EXPECT_GT(fast.weights()[1], 0.0);
-  EXPECT_LT(fast.iterations_used(), slow.iterations_used());
+// Gradient of the objective LogisticRegression::Fit minimizes —
+// class-balanced mean log-loss plus (λ/2)·‖w‖² on the weights only — at
+// (w, b), intercept component last. Deliberately naive: one row at a
+// time, no blocks.
+std::vector<double> ObjectiveGradient(const DenseMatrix& data,
+                                      const std::vector<double>& w,
+                                      double b) {
+  const size_t n = data.rows();
+  const size_t dim = data.cols();
+  const double positives = static_cast<double>(data.positive_count());
+  const double c_pos = static_cast<double>(n) / (2.0 * positives);
+  const double c_neg =
+      static_cast<double>(n) / (2.0 * (static_cast<double>(n) - positives));
+  std::vector<double> g(dim + 1, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    const double* x = data.Row(i);
+    double z = b;
+    for (size_t j = 0; j < dim; ++j) z += w[j] * x[j];
+    const int y = data.label(i);
+    const double r = (y == 1 ? c_pos : c_neg) *
+                     (Sigmoid(z) - static_cast<double>(y)) /
+                     static_cast<double>(n);
+    for (size_t j = 0; j < dim; ++j) g[j] += r * x[j];
+    g[dim] += r;
+  }
+  for (size_t j = 0; j < dim; ++j) g[j] += LogisticRegression::kL2 * w[j];
+  return g;
+}
+
+double MaxAbs(const std::vector<double>& v) {
+  double m = 0.0;
+  for (double x : v) m = std::max(m, std::fabs(x));
+  return m;
+}
+
+// The slow reference the Newton trainer replaces: plain full-batch
+// gradient descent (unit step) on the same objective, run until the
+// gradient is ~0.
+void GradientDescentReference(const DenseMatrix& data,
+                              std::vector<double>* w, double* b) {
+  w->assign(data.cols(), 0.0);
+  *b = 0.0;
+  for (int iter = 0; iter < 200000; ++iter) {
+    const std::vector<double> g = ObjectiveGradient(data, *w, *b);
+    if (MaxAbs(g) < 1e-12) return;
+    for (size_t j = 0; j < w->size(); ++j) (*w)[j] -= g[j];
+    *b -= g.back();
+  }
+  ADD_FAILURE() << "reference gradient descent did not converge";
+}
+
+// A noisy (non-separable), well-conditioned three-feature problem.
+DenseMatrix NoisyProblem(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Dataset data;
+  for (size_t i = 0; i < n; ++i) {
+    const double a = rng.NextDouble() * 2.0 - 1.0;
+    const double b = rng.NextDouble() * 2.0 - 1.0;
+    const double c = rng.NextDouble() * 2.0 - 1.0;
+    const double noise = rng.NextDouble() - 0.5;
+    const int label = a + 0.5 * b - 0.25 * c + noise > 0.2 ? 1 : 0;
+    EXPECT_TRUE(data.Add({{a, b, c}, label}).ok());
+  }
+  return *DenseMatrix::FromDataset(data);
+}
+
+TEST(LogisticRegressionTest, NewtonAgreesWithGradientDescentReference) {
+  const DenseMatrix data = NoisyProblem(400, 11);
+  LogisticRegression newton;
+  ASSERT_TRUE(newton.Fit(data).ok());
+  EXPECT_LE(newton.iterations_used(), 20u);
+  std::vector<double> w;
+  double b = 0.0;
+  GradientDescentReference(data, &w, &b);
+  ASSERT_EQ(newton.weights().size(), w.size());
+  for (size_t j = 0; j < w.size(); ++j) {
+    EXPECT_NEAR(newton.weights()[j], w[j], 1e-6) << "weight " << j;
+  }
+  EXPECT_NEAR(newton.intercept(), b, 1e-6);
+}
+
+TEST(LogisticRegressionTest, NonFiniteFeaturesFailWithoutAModel) {
+  Rng rng(12);
+  Dataset data = LinearlySeparable(50, &rng);
+  ASSERT_TRUE(
+      data.Add({{std::numeric_limits<double>::quiet_NaN(), 0.0}, 1}).ok());
+  LogisticRegression model;
+  EXPECT_TRUE(model.Fit(data).IsInternal());
+  EXPECT_FALSE(model.fitted());
+}
+
+// On the seed-2011 Table 2 world's standardized training set, Newton
+// reaches the gradient tolerance well inside the iteration cap.
+TEST(LogisticRegressionTest, ConvergesOnSeedWorldTrainingSet) {
+  const World world = *World::Generate(bench::FullWorldConfig());
+  MatchingContext ctx;
+  ctx.catalog = &world.catalog;
+  ctx.offers = &world.historical_offers;
+  ctx.matches = &world.historical_matches;
+  const ClassifierMatcherOptions defaults;
+  const MatchedBagIndex index = *MatchedBagIndex::Build(ctx);
+  FeatureComputer computer(&index, defaults.features);
+  const CorrespondenceTrainingSet training =
+      *BuildTrainingSet(index, &computer, defaults.training);
+  DenseMatrix matrix = *DenseMatrix::FromDataset(training.dataset);
+  StandardScaler scaler;
+  ASSERT_TRUE(scaler.Fit(matrix).ok());
+  ASSERT_TRUE(scaler.TransformInPlace(&matrix).ok());
+
+  LogisticRegression model;
+  ASSERT_TRUE(model.Fit(matrix).ok());
+  EXPECT_LE(model.iterations_used(), 20u);
+  EXPECT_LE(MaxAbs(ObjectiveGradient(matrix, model.weights(),
+                                     model.intercept())),
+            LogisticRegression::kGradientTolerance);
 }
 
 TEST(SigmoidTest, StableAtExtremes) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "src/matching/classifier_matcher.h"
 #include "src/matching/title_matcher.h"
 #include "src/pipeline/synthesizer.h"
+#include "src/util/sched_stats.h"
 #include "src/util/thread_pool.h"
 
 namespace prodsyn {
@@ -138,21 +140,52 @@ TEST_F(OfflineParallelTest, ClassifierStatsCarryOfflineStageSnapshots) {
   EXPECT_EQ(stages[2].latency.count, matcher.stats().lr_iterations);
   EXPECT_GT(matcher.stats().lr_iterations, 0u);
 
-  // The training-throughput gauges ride along in the registry.
-  bool saw_iterations = false, saw_rows_per_sec = false;
+  // The iteration gauge rides along in the registry.
+  bool saw_iterations = false;
   for (const auto& gauge : matcher.stats().registry.gauges) {
     if (gauge.name == "lr.iterations_used") {
       saw_iterations = true;
       EXPECT_EQ(gauge.value,
                 static_cast<int64_t>(matcher.stats().lr_iterations));
     }
-    if (gauge.name == "lr.rows_per_sec") {
-      saw_rows_per_sec = true;
-      EXPECT_GT(gauge.value, 0);
-    }
   }
   EXPECT_TRUE(saw_iterations);
-  EXPECT_TRUE(saw_rows_per_sec);
+}
+
+// Generate runs the bag-index build, the LR passes and the scoring sweep
+// on its one pool, so the published scheduler snapshot carries all three
+// regions.
+TEST_F(OfflineParallelTest, SchedSnapshotCoversEveryOfflineRegion) {
+  const bool was_enabled = SchedulerStats::enabled();
+  SchedulerStats::Enable();
+  ClassifierMatcherOptions options;
+  options.offline_threads = 4;
+  ClassifierMatcher matcher(options);
+  const bool ok = matcher.Generate(ctx_).ok();
+  if (!was_enabled) SchedulerStats::Disable();
+  ASSERT_TRUE(ok);
+
+  std::map<std::string, int64_t> gauges;
+  for (const auto& gauge : matcher.stats().registry.gauges) {
+    gauges[gauge.name] = gauge.value;
+  }
+  EXPECT_EQ(gauges["offline.threads"], 4);
+  EXPECT_EQ(gauges["pool.workers"], 4);
+  for (const std::string region :
+       {"bag_index.build", "lr.epoch", "classifier.score"}) {
+    SCOPED_TRACE(region);
+    const std::string base = "region." + region + ".";
+    ASSERT_TRUE(gauges.count(base + "invocations"));
+    EXPECT_GT(gauges[base + "invocations"], 0);
+    EXPECT_GT(gauges[base + "chunks"], 0);
+    EXPECT_GT(gauges[base + "wall_ns"], 0);
+    EXPECT_GE(gauges[base + "imbalance_permille"], 1000);
+  }
+  // Tokenize groups, profile products, and one distribution sweep per
+  // side: four fan-outs per build.
+  EXPECT_EQ(gauges["region.bag_index.build.invocations"], 4);
+  EXPECT_EQ(gauges["region.lr.epoch.invocations"],
+            static_cast<int64_t>(matcher.stats().lr_iterations));
 }
 
 // The bootstrapped MatchStore and its counter stats must be identical for

@@ -359,7 +359,7 @@ TEST(ThreadPoolSchedStatsTest, AccountsWorkersRegionsAndMerge) {
   EXPECT_EQ(region.claim_attempts, region.chunks + 2);
   EXPECT_GT(region.merge_ns, 0u);
   // Load balance is max/mean in permille: >= 1000 by construction.
-  EXPECT_GE(region.ImbalancePermille(), 1000u);
+  EXPECT_GE(region.max_imbalance_permille, 1000u);
   EXPECT_GT(region.SerialFractionPermille(), 0u);
   EXPECT_LT(region.SerialFractionPermille(), 1000u);
   // One multi-chunk invocation -> one imbalance observation.

@@ -93,7 +93,8 @@ def region_metrics(region):
         # Work-sum over wall: how many workers the region actually kept
         # busy on average (<= pool width; 1.0 means no overlap at all).
         "effective_parallelism": chunk_sum_ns / wall_ns if wall_ns else 0.0,
-        # Slowest chunk vs mean chunk (>= 1.0; 1.0 = perfectly balanced).
+        # Slowest chunk vs mean chunk in the region's worst invocation
+        # (>= 1.0; 1.0 = perfectly balanced).
         "imbalance": region.get("imbalance_permille", 0) / 1000.0,
         "mean_chunk_us": chunk_sum_ns / chunks / 1e3 if chunks else 0.0,
         # Claim-cursor fetch_adds beyond the chunks actually executed, as
@@ -128,7 +129,7 @@ def diagnose(metrics):
     if metrics["imbalance"] > IMBALANCE_WARN and metrics["chunks"] > 1:
         notes.append(
             f"load imbalance: slowest chunk {metrics['imbalance']:.2f}x "
-            f"the mean; lower the call site's grain constant "
+            f"the mean in the worst invocation; lower the call site's grain constant "
             f"(k*Grain next to its ParallelFor) for finer chunks"
         )
     if 0.0 < metrics["mean_chunk_us"] < FINE_GRAIN_US:

@@ -52,13 +52,15 @@ def synthetic_doc() -> dict:
         "region.runtime.fuse.merge_ns": 0,
         "region.runtime.fuse.imbalance_permille": 1000,
     }
-    # 4 threads: 4 chunks summing to 80 ms inside a 25 ms region wall
-    # (effective parallelism 3.2); slowest chunk 40 ms (imbalance 2.0);
-    # 8 claim attempts for 4 chunks (100% excess); 20 ms merge tail
-    # (region serial fraction 20/45).
+    # 4 threads: two invocations of 2 chunks (40 + 10 ms, then 10 + 20
+    # ms) summing to 80 ms inside a 25 ms region wall (effective
+    # parallelism 3.2). The gauge is the worst invocation's max/mean,
+    # 40 / 25 = 1.6, not the whole run's 40 / 20 = 2.0; 8 claim attempts
+    # for 4 chunks (100% excess); 20 ms merge tail (region serial
+    # fraction 20/45).
     sched_4 = {
         "pool.workers": 4,
-        "region.runtime.fuse.invocations": 1,
+        "region.runtime.fuse.invocations": 2,
         "region.runtime.fuse.chunks": 4,
         "region.runtime.fuse.wall_ns": 25_000_000,
         "region.runtime.fuse.chunk_sum_ns": 80_000_000,
@@ -66,7 +68,7 @@ def synthetic_doc() -> dict:
         "region.runtime.fuse.chunk_max_ns": 40_000_000,
         "region.runtime.fuse.claim_attempts": 8,
         "region.runtime.fuse.merge_ns": 20_000_000,
-        "region.runtime.fuse.imbalance_permille": 2000,
+        "region.runtime.fuse.imbalance_permille": 1600,
     }
     return {
         "bench": "perf_pipeline",
@@ -111,7 +113,7 @@ def test_region_metrics() -> None:
     m = scaling_report.region_metrics(regions["runtime.fuse"])
     check("metrics.effective_parallelism", m["effective_parallelism"], 3.2,
           tol=1e-9)
-    check("metrics.imbalance", m["imbalance"], 2.0, tol=1e-9)
+    check("metrics.imbalance", m["imbalance"], 1.6, tol=1e-9)
     check("metrics.mean_chunk_us", m["mean_chunk_us"], 20_000.0, tol=1e-6)
     check("metrics.claim_excess", m["claim_excess"], 1.0, tol=1e-9)
     check("metrics.serial_fraction", m["serial_fraction"], 20.0 / 45.0,
