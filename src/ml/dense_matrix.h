@@ -1,16 +1,10 @@
-// Flat, cache-friendly training layout for the correspondence classifier
-// (paper §3.2). Dataset stores one heap-allocated std::vector<double> per
-// example — fine for building, hostile to the LR training loop, which
-// sweeps every example every epoch and pays a pointer chase plus a cache
-// miss per row. DenseMatrix packs the same examples into ONE contiguous
-// row-major buffer (plus a labels array), so the per-epoch sweep is a
-// linear scan the hardware prefetcher can stream and the inner dot/axpy
-// loops run over contiguous doubles.
-//
-// The matrix is built once from the Dataset, standardized in place by
-// StandardScaler::TransformInPlace (no second AoS copy), and shared with
-// LogisticRegression::Fit — see docs/PERFORMANCE.md ("LR training
-// layout") for the measured effect.
+// Flat training layout for the correspondence classifier (paper §3.2).
+// Dataset stores one heap-allocated std::vector<double> per example;
+// DenseMatrix packs the same examples into ONE contiguous row-major buffer
+// (plus a labels array), so each LR training pass is a linear scan. It is
+// built once from the Dataset, standardized in place by
+// StandardScaler::TransformInPlace (no second AoS copy), and passed to
+// LogisticRegression::Fit.
 
 #ifndef PRODSYN_ML_DENSE_MATRIX_H_
 #define PRODSYN_ML_DENSE_MATRIX_H_

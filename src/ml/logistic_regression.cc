@@ -19,49 +19,22 @@ double Sigmoid(double z) {
 
 namespace {
 
-// Rows per numeric block. Block boundaries — and therefore the
-// floating-point reduce order — depend only on this and the row count.
+// Rows per numeric block: block boundaries — and so the floating-point
+// reduce order — depend only on this and the row count.
 constexpr size_t kBlockRows = 256;
-
-// Armijo sufficient-decrease fraction of the backtracking line search,
-// and the relative loss slack that absorbs summation roundoff once the
-// true decrease falls below it (near the optimum every full Newton step
-// is accepted).
-constexpr double kArmijo = 1e-4;
-constexpr double kLossSlack = 1e-12;
-
-// Contiguous dot product with four independent accumulators combined in a
-// FIXED order: deterministic (the order never depends on threads or chunk
-// plans — only on `dim`), and the accumulator separation gives the
-// compiler the ILP/SLP freedom a strict single-accumulator reduction
-// denies it under IEEE semantics.
-double DotRow(const double* w, const double* x, size_t dim) {
-  double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-  size_t j = 0;
-  for (; j + 4 <= dim; j += 4) {
-    a0 += w[j] * x[j];
-    a1 += w[j + 1] * x[j + 1];
-    a2 += w[j + 2] * x[j + 2];
-    a3 += w[j + 3] * x[j + 3];
-  }
-  double tail = 0.0;
-  for (; j < dim; ++j) tail += w[j] * x[j];
-  return ((a0 + a2) + (a1 + a3)) + tail;
-}
+// Safety cap on Newton iterations; every fit in this repo needs 8-13.
+constexpr size_t kMaxIterations = 100;
 
 // y[j] += a * x[j]: no cross-iteration dependence, so gcc/clang
-// auto-vectorize this under strict IEEE semantics (verified with
-// -fopt-info-vec; see docs/PERFORMANCE.md).
-void Axpy(double a, const double* x, double* y, size_t dim) {
-  for (size_t j = 0; j < dim; ++j) y[j] += a * x[j];
+// auto-vectorize it under strict IEEE semantics.
+void Axpy(double a, const double* x, double* y, size_t n) {
+  for (size_t j = 0; j < n; ++j) y[j] += a * x[j];
 }
 
 // Sequential in-order pairwise tree reduce over the per-block slots: slot
 // b absorbs slot b+stride with the stride doubling, so the combination
-// order is a fixed function of the block count alone — bit-identical for
-// any thread count and chunk plan, and better-conditioned than a
-// left-to-right sweep. Runs on the calling thread after the ParallelFor
-// latch drains. The reduced sums land in slot 0.
+// order — and the sums left in slot 0 — are a fixed function of the block
+// count alone, whatever the thread count or chunk plan.
 void ReduceSlotsInOrder(std::vector<double>* slots, size_t blocks,
                         size_t stride_doubles) {
   for (size_t stride = 1; stride < blocks; stride *= 2) {
@@ -73,23 +46,21 @@ void ReduceSlotsInOrder(std::vector<double>* slots, size_t blocks,
   }
 }
 
-// Solves A·x = b in place for the n×n symmetric matrix A given as its
-// packed lower triangle (row i holds columns 0..i): A is overwritten by
-// its Cholesky factor L and `b` by x. False on a non-positive (or NaN)
-// pivot, i.e. when A is not positive definite.
+// Solves A·x = b in place for the symmetric n×n matrix A given as its
+// packed lower triangle (row i holds columns 0..i at offset i(i+1)/2),
+// overwriting A with its Cholesky factor L and b with x. False on a
+// non-positive (or NaN) pivot: A is not positive definite.
 bool CholeskySolve(double* a, double* b, size_t n) {
   auto at = [a](size_t i, size_t j) -> double& {
     return a[i * (i + 1) / 2 + j];
   };
   for (size_t j = 0; j < n; ++j) {
-    double pivot = at(j, j);
-    for (size_t k = 0; k < j; ++k) pivot -= at(j, k) * at(j, k);
-    if (!(pivot > 0.0)) return false;
-    at(j, j) = std::sqrt(pivot);
+    for (size_t k = 0; k < j; ++k) at(j, j) -= at(j, k) * at(j, k);
+    if (!(at(j, j) > 0.0)) return false;
+    at(j, j) = std::sqrt(at(j, j));
     for (size_t i = j + 1; i < n; ++i) {
-      double v = at(i, j);
-      for (size_t k = 0; k < j; ++k) v -= at(i, k) * at(j, k);
-      at(i, j) = v / at(j, j);
+      for (size_t k = 0; k < j; ++k) at(i, j) -= at(i, k) * at(j, k);
+      at(i, j) /= at(j, j);
     }
   }
   for (size_t i = 0; i < n; ++i) {  // L·y = b
@@ -140,15 +111,13 @@ Status LogisticRegression::Fit(const DenseMatrix& data,
   const double total_weight =
       w_pos * static_cast<double>(positives) + w_neg * negatives;
 
-  // θ = (weights, intercept): the intercept is the constant-1 feature at
-  // index dim of the augmented row, unpenalized.
+  // θ = (weights, intercept): the intercept is the weight of a constant-1
+  // feature appended to every row. A slot holds the block's gradient
+  // sums, then its packed lower-triangle Hessian sums.
   const size_t dim = data.cols();
   const size_t params = dim + 1;
   const size_t hessian_size = params * (params + 1) / 2;
-  // Slot layout: gradient sums [0, params), packed lower-triangle Hessian
-  // sums [params, params + hessian_size), loss sum last.
-  const size_t slot_stride = params + hessian_size + 1;
-  const size_t loss_index = slot_stride - 1;
+  const size_t slot_stride = params + hessian_size;
   const size_t blocks = (n + kBlockRows - 1) / kBlockRows;
   std::vector<double> slots(blocks * slot_stride, 0.0);
 
@@ -158,47 +127,33 @@ Status LogisticRegression::Fit(const DenseMatrix& data,
     pool = owned_pool.get();
   }
 
-  std::vector<double> theta(params, 0.0);  // the point this pass evaluates
+  std::vector<double> theta(params, 0.0);
   // Each block writes only its own slot; theta is read-only inside a pass
   // and only updated between passes (after the ParallelFor latch drains).
   // lint: sharded
   auto block_body = [&](size_t block_begin, size_t block_end) {
+    std::vector<double> x(params, 1.0);  // the row, then the constant 1
     for (size_t b = block_begin; b < block_end; ++b) {
       double* slot = slots.data() + b * slot_stride;
       std::fill(slot, slot + slot_stride, 0.0);
-      const size_t row_begin = b * kBlockRows;
-      const size_t row_end = std::min(n, row_begin + kBlockRows);
-      for (size_t i = row_begin; i < row_end; ++i) {
-        const double* x = data.Row(i);
-        const double z = theta[dim] + DotRow(theta.data(), x, dim);
-        // One exp serves the stable sigmoid and the stable log-loss
-        // softplus(±z) = max(±z, 0) + log1p(e^{-|z|}).
-        const double e = std::exp(-std::fabs(z));
-        const double p = z >= 0 ? 1.0 / (1.0 + e) : e / (1.0 + e);
+      const size_t row_end = std::min(n, (b + 1) * kBlockRows);
+      for (size_t i = b * kBlockRows; i < row_end; ++i) {
+        std::copy_n(data.Row(i), dim, x.begin());
+        double z = 0.0;
+        for (size_t j = 0; j < params; ++j) z += theta[j] * x[j];
+        const double p = Sigmoid(z);
         const int label = data.label(i);
         const double c = label == 1 ? w_pos : w_neg;
-        const double margin = label == 1 ? -z : z;
-        slot[loss_index] += c * (std::max(margin, 0.0) + std::log1p(e));
-        const double r = c * (p - static_cast<double>(label));
-        Axpy(r, x, slot, dim);
-        slot[dim] += r;
+        Axpy(c * (p - static_cast<double>(label)), x.data(), slot, params);
         const double h = c * p * (1.0 - p);
-        double* hess = slot + params;
-        for (size_t j = 0; j < dim; ++j) {
-          Axpy(h * x[j], x, hess, j + 1);  // row j: columns 0..j
-          hess += j + 1;
+        for (size_t j = 0; j < params; ++j) {
+          Axpy(h * x[j], x.data(), slot + params + j * (j + 1) / 2, j + 1);
         }
-        Axpy(h, x, hess, dim);  // intercept row: the constant feature
-        hess[dim] += h;
       }
     }
   };
 
-  std::vector<double> accepted;  // last iterate the line search accepted
-  std::vector<double> grad(params, 0.0);
-  std::vector<double> step(params, 0.0);
-  std::vector<double> hessian(hessian_size, 0.0);
-  double accepted_loss = 0.0, slope = 0.0, t = 1.0;
+  std::vector<double> grad(params), hessian(hessian_size);
   while (iterations_used_ < kMaxIterations) {
     ++iterations_used_;
     ScopedStageTimer epoch_timer(epoch_stage);
@@ -210,20 +165,7 @@ Status LogisticRegression::Fit(const DenseMatrix& data,
     ReduceSlotsInOrder(&slots, blocks, slot_stride);
     const double* sums = slots.data();
 
-    double loss = sums[loss_index] / total_weight;
-    for (size_t j = 0; j < dim; ++j) loss += 0.5 * kL2 * theta[j] * theta[j];
-    if (!accepted.empty() &&
-        !(loss <= accepted_loss + kArmijo * t * slope +
-                      kLossSlack * std::fabs(accepted_loss))) {
-      // Insufficient decrease: halve the step from the accepted iterate.
-      t *= 0.5;
-      for (size_t j = 0; j < params; ++j) theta[j] = accepted[j] + t * step[j];
-      continue;
-    }
-    accepted = theta;
-    accepted_loss = loss;
-
-    // Gradient g and Hessian H of the objective at θ. A NaN component
+    // Gradient and Hessian at θ (L2 on the weights only). A NaN gradient
     // fails the tolerance test, so it reaches the solve and fails there.
     bool converged = true;
     for (size_t j = 0; j < params; ++j) {
@@ -234,25 +176,21 @@ Status LogisticRegression::Fit(const DenseMatrix& data,
     for (size_t k = 0; k < hessian_size; ++k) {
       hessian[k] = sums[params + k] / total_weight;
     }
-    for (size_t j = 0; j < dim; ++j) hessian[j * (j + 1) / 2 + j] += kL2;
-    for (size_t j = 0; j < params; ++j) step[j] = -grad[j];
-    if (!CholeskySolve(hessian.data(), step.data(), params)) {
+    for (size_t j = 0; j < dim; ++j) hessian[j * (j + 3) / 2] += kL2;
+    // An iterate so far off that every row's p(1 - p) underflows to 0
+    // leaves the intercept pivot at 0: it fails here instead of producing
+    // NaN weights.
+    if (!CholeskySolve(hessian.data(), grad.data(), params)) {
       return Status::Internal(
-          "logistic regression Newton system is not positive definite "
-          "(non-finite features?)");
+          "logistic regression Newton system is not positive definite");
     }
-    slope = 0.0;
-    for (size_t j = 0; j < params; ++j) slope += grad[j] * step[j];
-    t = 1.0;
     for (size_t j = 0; j < params; ++j) {
-      theta[j] = accepted[j] + step[j];
-      // A diverging optimizer (NaN/inf weight) would poison every later
-      // prediction while still "converging" by the gradient test.
+      theta[j] -= grad[j];
       PRODSYN_DCHECK_FINITE(theta[j]);
     }
   }
-  weights_.assign(accepted.begin(), accepted.begin() + dim);
-  intercept_ = accepted[dim];
+  weights_.assign(theta.begin(), theta.end() - 1);
+  intercept_ = theta.back();
   return Status::OK();
 }
 

@@ -2,18 +2,14 @@
 // uses logistic regression to predict whether a candidate ⟨A,B,M,C⟩ tuple
 // is actually an attribute correspondence").
 //
-// Fit minimizes class-balanced log-loss plus an L2 penalty on the weights
-// (not the intercept) over a flat row-major DenseMatrix by exact Newton
-// (IRLS) with a backtracking line search. Each Newton iteration is one
-// pass over the rows: the rows are sharded into FIXED 256-row blocks
-// (boundaries depend only on the row count, never on the thread count or
-// the ParallelFor chunk plan), each block writes its loss, gradient and
-// lower-triangle Hessian into its own pre-sized slot on the pool, and a
-// sequential in-order pairwise tree reduce combines the slots. The
-// (dim+1)² Cholesky solve for the step runs on the calling thread, so the
-// trained weights are bit-identical for any `threads` value and any
-// scheduling plan — the same determinism contract as every other
-// parallel stage (docs/ARCHITECTURE.md).
+// Fit minimizes class-balanced log-loss plus L2 on the weights (not the
+// intercept) by exact Newton (IRLS). Each iteration is one pass over the
+// flat row-major DenseMatrix in FIXED 256-row blocks; each block writes
+// its gradient and lower-triangle Hessian sums into its own slot on the
+// pool, an in-order tree reduce combines the slots, and the Cholesky
+// solve for the step runs on the calling thread — so the weights are
+// bit-identical for any `threads` value and any scheduling plan
+// (docs/ARCHITECTURE.md).
 
 #ifndef PRODSYN_ML_LOGISTIC_REGRESSION_H_
 #define PRODSYN_ML_LOGISTIC_REGRESSION_H_
@@ -30,10 +26,9 @@ namespace prodsyn {
 
 /// \brief Training options for LogisticRegression.
 struct LogisticRegressionOptions {
-  /// Worker threads for the per-iteration gradient/Hessian pass; 0 =
-  /// hardware default, 1 = fully sequential (no pool). ClassifierMatcher
-  /// overrides this with its `offline_threads` knob at Generate time. The
-  /// trained weights are bit-identical for every value.
+  /// Worker threads for each pass over the data; 0 = hardware default,
+  /// 1 = fully sequential (no pool). ClassifierMatcher overrides this
+  /// with its `offline_threads` knob at Generate time.
   size_t threads = 1;
 };
 
@@ -42,29 +37,21 @@ class LogisticRegression {
  public:
   LogisticRegression() = default;
 
-  /// \brief Max |gradient component| (weights and intercept) at which
-  /// Fit stops: the model is then the objective's minimizer to within
-  /// this tolerance.
+  /// \brief Fit stops once every gradient component (weights and
+  /// intercept) is at most this in magnitude.
   static constexpr double kGradientTolerance = 1e-8;
-
-  /// \brief Safety cap on passes over the data. Newton converges in ~10
-  /// on every training set in this repo; reaching the cap returns the
-  /// last accepted iterate.
-  static constexpr size_t kMaxIterations = 100;
-
   /// \brief L2 penalty λ: the objective adds (λ/2)·‖weights‖².
   static constexpr double kL2 = 1e-4;
 
   /// \brief Fits on the flat matrix. Requires at least one example of
   /// each class. Internal (and no model) if a Newton system is not
-  /// positive definite, which only non-finite features can cause.
+  /// positive definite: non-finite features, or a diverging iterate.
   ///
-  /// `pool` is an optional externally owned pool to run the per-iteration
-  /// passes on (ClassifierMatcher shares one pool between LR training and
-  /// candidate scoring); when null and options.threads != 1, Fit creates
-  /// a private pool. `epoch_stage` is optional observability: one latency
-  /// observation per pass over the data (the `lr.epoch` histogram) —
-  /// measurements only, outside the determinism contract.
+  /// `pool` is an optional externally owned pool to run the passes on
+  /// (ClassifierMatcher shares its one offline pool); when null and
+  /// options.threads != 1, Fit creates a private pool. `epoch_stage` is
+  /// optional observability: one latency observation per pass (the
+  /// `lr.epoch` histogram), outside the determinism contract.
   Status Fit(const DenseMatrix& data,
              const LogisticRegressionOptions& options = {},
              ThreadPool* pool = nullptr, StageCounters* epoch_stage = nullptr);
@@ -85,8 +72,8 @@ class LogisticRegression {
   const std::vector<double>& weights() const { return weights_; }
   double intercept() const { return intercept_; }
 
-  /// \brief Passes over the data the last Fit made: one per Newton
-  /// iteration, plus one per step the line search halved.
+  /// \brief Newton iterations (passes over the data) the last Fit used.
+  /// A fit that reaches the cap of 100 keeps the last iterate.
   size_t iterations_used() const { return iterations_used_; }
 
   /// \brief Reinstates a previously trained model from serialized state

@@ -1,8 +1,6 @@
 // Per-feature standardization (zero mean, unit variance). Logistic
-// regression's L2 penalty is defined on the standardized features, so the
-// scaler fixes what "small weights" means whatever the raw feature
-// ranges; the Newton trainer itself is scale-invariant and would reach
-// the same unpenalized fit on raw features.
+// regression's L2 penalty is defined on the standardized features; the
+// Newton trainer itself is scale-invariant.
 
 #ifndef PRODSYN_ML_SCALER_H_
 #define PRODSYN_ML_SCALER_H_
