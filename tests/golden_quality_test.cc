@@ -10,16 +10,14 @@
 //     0.70 on the schema-matching world (Fig. 6's ablations are not run).
 //
 // Any change to these values is a change to the reproduced results: a
-// PR that moves them re-pins the file and lists every old → new value in
-// CHANGES.md. On a mismatch the test prints the full regenerated file so
-// re-pinning is a copy. Run it alone with `ctest --preset golden` (after
+// change that moves them re-pins the file and lists every old → new value
+// in CHANGES.md. Run it alone with `ctest --preset golden` (after
 // `cmake --preset release && cmake --build --preset release`) or
 // `ctest -L golden` in any build tree.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,61 +113,17 @@ std::string Render(const Values& values) {
   return out + "}\n";
 }
 
-// The golden file is the flat one-pair-per-line object Render() writes;
-// this reads exactly that shape back.
-std::map<std::string, std::string> ParseGolden(const std::string& text) {
-  std::map<std::string, std::string> golden;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    const size_t open = line.find('"');
-    const size_t close = line.find('"', open + 1);
-    const size_t colon = line.find(':', close);
-    if (open == std::string::npos || close == std::string::npos ||
-        colon == std::string::npos) {
-      continue;
-    }
-    std::string value = line.substr(colon + 1);
-    while (!value.empty() && (value.back() == ',' || value.back() == ' ')) {
-      value.pop_back();
-    }
-    while (!value.empty() && value.front() == ' ') value.erase(0, 1);
-    golden[line.substr(open + 1, close - open - 1)] = value;
-  }
-  return golden;
-}
-
+// The golden file is exactly what Render() writes, so one string
+// comparison checks every value; gtest prints a line diff on a mismatch,
+// and the regenerated side is the file to re-pin.
 TEST(GoldenQualityTest, Seed2011MatchesPinnedValues) {
   Values measured;
   AppendEndToEnd(&measured);
   AppendFig6(&measured);
 
-  const auto text = ReadFileToString(PRODSYN_GOLDEN_QUALITY_JSON);
-  ASSERT_TRUE(text.ok()) << text.status().ToString();
-  const std::map<std::string, std::string> golden = ParseGolden(*text);
-
-  size_t mismatches = 0;
-  for (const auto& [key, value] : measured) {
-    const auto it = golden.find(key);
-    if (it == golden.end()) {
-      ADD_FAILURE() << key << " is measured (" << value
-                    << ") but not pinned";
-      ++mismatches;
-    } else if (it->second != value) {
-      ADD_FAILURE() << key << ": pinned " << it->second << ", measured "
-                    << value;
-      ++mismatches;
-    }
-  }
-  EXPECT_EQ(golden.size(), measured.size())
-      << "the golden file pins values this test no longer measures";
-  if (mismatches > 0 || golden.size() != measured.size()) {
-    std::printf("Regenerated %s:\n%s", PRODSYN_GOLDEN_QUALITY_JSON,
-                Render(measured).c_str());
-  }
+  const auto golden = ReadFileToString(PRODSYN_GOLDEN_QUALITY_JSON);
+  ASSERT_TRUE(golden.ok()) << golden.status().ToString();
+  EXPECT_EQ(*golden, Render(measured));
 }
 
 }  // namespace

@@ -151,8 +151,7 @@ TEST(LogisticRegressionTest, ClassBalancingHelpsImbalancedData) {
   }
   if (data.positive_count() == 0) GTEST_SKIP();
   LogisticRegression model;
-  LogisticRegressionOptions options;
-  ASSERT_TRUE(model.Fit(data, options).ok());
+  ASSERT_TRUE(model.Fit(data).ok());
   EXPECT_GT(*model.PredictProbability({0.99}), 0.5);
   EXPECT_LT(*model.PredictProbability({0.1}), 0.5);
 }
